@@ -3,7 +3,8 @@
 The paper characterizes decomposition's latency/energy/memory effects in a
 *serving* setting (Figures 10-12).  This package provides the measurement
 substrate: an iteration-level scheduler (:class:`InferenceEngine`) that
-mixes prefill chunks and decode steps in one ragged batch per step, a
+mixes prefill chunks and decode steps in every step (one ragged forward
+for the single-token rows, one for the multi-token rows), a
 preallocated block-based KV-cache pool shared across requests
 (:class:`KVBlockPool`), a lazy registry of decomposed model variants
 (:class:`VariantRegistry`), and a trace-replay benchmark

@@ -1,16 +1,17 @@
 """In-process continuous-batching inference engine.
 
 Iteration-level scheduling in the style of Orca/vLLM: every call to
-:meth:`InferenceEngine.step` assembles one ragged batch mixing *prefill
-chunks* of newly admitted requests with *single-token decode steps* of all
-running requests, bounded by a per-step token budget, and runs it through
-the model's ragged cached forward in a single pass.  KV state lives in a
-shared preallocated :class:`~repro.serving.pool.KVBlockPool`; when it runs
-dry the youngest running request is preempted (blocks released, tokens
-kept) and later re-prefilled, so results are unchanged.
+:meth:`InferenceEngine.step` schedules *prefill chunks* of newly admitted
+requests next to *single-token decode steps* of all running requests,
+bounded by a per-step token budget, and runs them through the model's
+ragged cached forward: one pass for the single-token rows and one for the
+multi-token rows, so decode rows never pad to a chunk's width.  KV state
+lives in a shared preallocated :class:`~repro.serving.pool.KVBlockPool`;
+when it runs dry the youngest running request is preempted (blocks
+released, tokens kept) and later re-prefilled, so results are unchanged.
 
 The engine is clock-agnostic: callers pass ``now`` into :meth:`submit` /
-:meth:`step`, and the step's *measured* model time advances whatever clock
+:meth:`step`, and the step's *measured* duration advances whatever clock
 the caller maintains (the benchmark replays a Poisson trace on a virtual
 clock driven by real compute durations).  Deadlines, TTFT, and queue waits
 are all expressed on that clock.
@@ -300,7 +301,12 @@ class InferenceEngine:
 
     # -- the engine loop ---------------------------------------------------
     def step(self, now: float = 0.0) -> StepReport:
-        """Run one continuous-batching iteration at virtual time ``now``."""
+        """Run one continuous-batching iteration at virtual time ``now``.
+
+        A step that runs rows is timed from here to its return, so
+        admission, reservation and commit count in ``duration_s`` next to
+        the draft and forward work."""
+        started = self.timer()
         self._expire_deadlines(now)
         if self.router is not None:
             # Load is observed before admissions so the router reacts to
@@ -313,7 +319,6 @@ class InferenceEngine:
                 prefill_tokens=0,
             )
         swaps = self._apply_routing(rows) if self.router is not None else 0
-        started = self.timer()
         # Draft phase (speculative rows only): drafter forwards happen here
         # so their cost lands inside the step's measured duration.
         feeds, draft_counts = self._draft_extend(rows)
@@ -325,10 +330,9 @@ class InferenceEngine:
                 note(feed)
         lengths = np.asarray([feed.size for feed in feeds], dtype=np.int64)
         row_logits = self._forward_rows(rows, feeds, lengths)
-        duration = max(self.timer() - started, 1e-9)
-        if self.router is not None:
-            self.router.note_step(duration)
-        completion = now + duration
+        # Tokens are stamped when their logits exist; the step's duration
+        # runs on through the commit below.
+        completion = now + max(self.timer() - started, 1e-9)
 
         decode_rows = sum(1 for request, _ in rows if request.state is RequestState.DECODE)
         prefill_rows = len(rows) - decode_rows
@@ -374,6 +378,9 @@ class InferenceEngine:
             if request.done:
                 finished.append(request.request_id)
         self._running = [r for r in self._running if r.state in ACTIVE_STATES]
+        duration = max(self.timer() - started, 1e-9)
+        if self.router is not None:
+            self.router.note_step(duration)
         self.metrics.record_step(
             duration,
             decode_rows,
@@ -434,15 +441,18 @@ class InferenceEngine:
     ) -> List[np.ndarray]:
         """Run the step's rows through their models; per-row logits back.
 
-        Rows sharing a variant batch into one ragged forward (a router-less
-        engine is the degenerate single group), and results scatter back
-        into row order so the commit loop stays group-agnostic.
+        Rows batch into one ragged forward per (variant, single-token row)
+        group, so decode rows never pad to the width of a prefill chunk or
+        a speculative verify row and a mixed step costs about what its real
+        tokens cost.  A router-less engine has one variant; results scatter
+        back into row order so the commit loop stays group-agnostic.
         """
-        groups: Dict[Optional[str], List[int]] = {}
+        groups: Dict[Tuple[Optional[str], bool], List[int]] = {}
         for index, (request, _) in enumerate(rows):
-            groups.setdefault(request.variant, []).append(index)
+            key = (request.variant, bool(lengths[index] == 1))
+            groups.setdefault(key, []).append(index)
         row_logits: List[np.ndarray] = [None] * len(rows)  # type: ignore[list-item]
-        for spec, indices in groups.items():
+        for (spec, _), indices in groups.items():
             model = self._model_for(spec)
             group_lengths = lengths[indices]
             batch = np.zeros((len(indices), int(group_lengths.max())), dtype=np.int64)
