@@ -11,12 +11,22 @@ returns zero-copy *views* of the valid prefix.  (The original implementation
 re-``np.concatenate``-d the whole history every token — O(T^2) over a
 generation.)
 
+Every layer-cache flavour (this one, the block-pool and paged caches in
+:mod:`repro.serving`) shares a two-part write contract: ``write`` appends
+new positions without reading the history back, and ``append`` is
+``write`` plus a read of the whole history.  Each also carries an
+``epoch`` token — a fresh ``object()``, equal only to itself, so a held
+token is never reissued — renewed on creation and on every
+``truncate()``: while the epoch is unchanged the cache has only grown, so
+a consumer that mirrors its first ``n`` positions (the fast path's KV
+staging rows) knows the mirror is still exact.
+
 :class:`RaggedLayerCaches` / :class:`RaggedModelCaches` bundle several
 independent per-sequence caches into one batch object so a single forward
 pass can serve sequences of different lengths — the interface the
 continuous-batching engine in :mod:`repro.serving` drives.  Any object with
-the ``seq_len`` / ``append`` contract (e.g. the block-pool backed caches in
-:mod:`repro.serving.pool`) can participate.
+the ``seq_len`` / ``epoch`` / ``write`` / ``append`` contract (e.g. the
+block-pool backed caches in :mod:`repro.serving.pool`) can participate.
 """
 
 from __future__ import annotations
@@ -37,10 +47,20 @@ class LayerKVCache:
         self._keys: Optional[np.ndarray] = None    # (B, H_kv, capacity, Dh)
         self._values: Optional[np.ndarray] = None
         self._len = 0
+        self._epoch = object()
 
     @property
     def seq_len(self) -> int:
         return self._len
+
+    @property
+    def epoch(self) -> object:
+        """Token renewed on creation and on every :meth:`truncate`.
+
+        Same epoch, same cache: positions below any earlier ``seq_len``
+        still hold what they held then (the cache has only grown).
+        """
+        return self._epoch
 
     @property
     def capacity(self) -> int:
@@ -78,8 +98,8 @@ class LayerKVCache:
         self._keys = grown_keys
         self._values = grown_values
 
-    def append(self, keys: np.ndarray, values: np.ndarray) -> tuple:
-        """Append new positions; returns the full (keys, values) so far."""
+    def write(self, keys: np.ndarray, values: np.ndarray) -> None:
+        """Append new (B, H, T, Dh) positions without reading history back."""
         keys = np.asarray(keys)
         values = np.asarray(values)
         if keys.ndim != 4 or values.shape != keys.shape:
@@ -104,6 +124,10 @@ class LayerKVCache:
         self._keys[:, :, self._len : self._len + new_tokens] = keys
         self._values[:, :, self._len : self._len + new_tokens] = values
         self._len += new_tokens
+
+    def append(self, keys: np.ndarray, values: np.ndarray) -> tuple:
+        """:meth:`write`, then views of the full (keys, values) so far."""
+        self.write(keys, values)
         return self.keys, self.values
 
     def truncate(self, length: int) -> None:
@@ -111,7 +135,8 @@ class LayerKVCache:
 
         Speculative decoding appends draft positions optimistically and
         discards the rejected suffix; truncation is O(1) — the buffer keeps
-        its capacity and later appends overwrite the abandoned slots.
+        its capacity and later appends overwrite the abandoned slots.  The
+        epoch is renewed, since those slots may be rewritten differently.
         """
         length = int(length)
         if length < 0:
@@ -121,6 +146,7 @@ class LayerKVCache:
                 f"cannot truncate to {length}: cache holds {self._len} positions"
             )
         self._len = length
+        self._epoch = object()
 
 
 class ModelKVCache:

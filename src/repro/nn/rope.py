@@ -39,7 +39,9 @@ class RotaryEmbedding:
         per-row offsets (ragged batched decoding, where each sequence sits
         at a different depth).  In the per-row case, positions of *padded*
         tail slots may exceed the table; they are clamped, since their
-        values are masked out downstream anyway.
+        values are masked out downstream anyway.  Real tokens never reach
+        the clamp: ``run_model`` rejects a ragged batch whose rows run past
+        the table before any layer runs.
         """
         if x.ndim != 4:
             raise ShapeError(f"RoPE expects (B, H, T, Dh), got {x.shape}")

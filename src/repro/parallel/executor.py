@@ -106,6 +106,7 @@ class ShardedContext(ExecutionContext):
         self._rope = RotaryEmbedding(
             config.head_dim, config.max_seq_len, theta=config.rope_theta
         )
+        self.max_positions = config.max_seq_len
 
     def embed(self, tokens) -> Tensor:
         if self.shard.embed is None:

@@ -82,6 +82,8 @@ class ExecutionContext:
     head_dim: int
     kv_group: int
     causal: bool
+    #: Positions the RoPE table covers; None when there is no table.
+    max_positions: Optional[int] = None
 
     def embed(self, tokens) -> Tensor:
         """Token ids (B, T) to hidden states (B, T, D)."""
@@ -157,6 +159,8 @@ class CanonicalBlocksContext(ExecutionContext):
         self._embed = embed
         self._logits_fn = logits_fn
         self._rope = rope if rope is not None else attn.rope
+        if self._rope is not None:
+            self.max_positions = self._rope.max_seq_len
         # Structured head description for the no-grad fast path (see
         # repro.runtime.fastpath).  ``logits_fn`` stays authoritative for
         # the Tensor-graph path; without these the context simply never

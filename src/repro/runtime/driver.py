@@ -264,11 +264,14 @@ def run_model(
     # Imported here, not at module level, so the fast path stays an
     # implementation detail of this dispatch (and to keep import order
     # within the package trivial).
+    from repro.nn.kv_cache import RaggedModelCaches
     from repro.runtime import fastpath
 
     tokens = np.asarray(tokens)
     if tokens.ndim != 2:
         raise ShapeError(f"expected (B, T) token ids, got shape {tokens.shape}")
+    if isinstance(caches, RaggedModelCaches):
+        _check_ragged_positions(ctx, caches)
     has_embedding = getattr(ctx, "has_embedding", True)
     has_head = getattr(ctx, "has_head", True)
     if not has_embedding and hidden is None:
@@ -291,6 +294,26 @@ def run_model(
     if not has_head or skip_head:
         return x
     return ctx.logits(x)
+
+
+def _check_ragged_positions(ctx: ExecutionContext, caches) -> None:
+    """Reject ragged rows whose new tokens run past the RoPE table.
+
+    The per-row RoPE clamps positions past the table, because a row's
+    padded tail slots may lie there and are masked anyway.  Real tokens
+    must never reach the clamp, so every ragged forward — Tensor driver,
+    fast path, every rank of a sharded model — checks here, before any
+    cache is written.
+    """
+    limit = ctx.max_positions
+    if limit is None:
+        return
+    rows = caches.layers[0]
+    ends = rows.offsets + rows.new_lengths
+    if int(ends.max()) > limit:
+        raise ShapeError(
+            f"ragged row positions up to {int(ends.max())} exceed RoPE table {limit}"
+        )
 
 
 def run_head(ctx: ExecutionContext, hidden) -> Tensor:

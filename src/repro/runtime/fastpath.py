@@ -40,6 +40,20 @@ updates are picked up automatically; a cheap id-based signature is checked
 per forward so decomposition swaps (``Linear`` -> ``FactorizedLinear``)
 and ``load_state_dict`` rebinds trigger a rebuild of the cached views.
 
+Ragged KV staging
+-----------------
+Ragged attention never reassembles a batch's KV history per step.  Each
+layer keeps a persistent staging pair in the workspace
+(:meth:`~repro.runtime.workspace.Workspace.stage`), one row per batch row
+holding that row's KV heads, and each row records the ``(epoch, length)``
+of the cache it mirrors.  A row whose cache still has that epoch and
+length takes only its new tokens (the cache gets them through ``write``);
+any other row re-reads its history once through ``append``.  The score
+and context matmuls read views of the staging pair.  In every attention
+path the matmuls broadcast each KV head over its run of query heads, so
+every (row, query head) GEMM sees the same shapes and bytes as against a
+GQA-expanded copy, and no expanded copy is ever made.
+
 Bit-for-bit contract
 --------------------
 Every kernel mirrors the Tensor path's exact NumPy op sequence: identical
@@ -166,13 +180,29 @@ class FastHead:
         self.width = width
 
 
+def _kv_runs(plan: Tuple[int, ...]) -> Tuple[Tuple[int, int, int], ...]:
+    """``(lo, hi, kv_head)`` runs of query heads served by one KV head.
+
+    A GQA plan never decreases (query head ``h`` reads KV head
+    ``h // group``), so each KV head serves one contiguous run — also on a
+    tensor-parallel rank whose head slice splits a group.
+    """
+    runs: List[Tuple[int, int, int]] = []
+    for q_head, kv_head in enumerate(plan):
+        if runs and runs[-1][2] == kv_head:
+            runs[-1] = (runs[-1][0], q_head + 1, kv_head)
+        else:
+            runs.append((q_head, q_head + 1, kv_head))
+    return tuple(runs)
+
+
 class FastState:
     """Everything one context needs to run the no-graph kernels."""
 
     __slots__ = (
         "ctx", "sig", "ws", "embed_table", "embed_checked", "layers", "head",
-        "rope", "gather", "plan", "scale", "inv_dim", "n_layers", "n_q_heads",
-        "n_kv_heads", "head_dim", "kv_group", "causal",
+        "rope", "gather", "kv_runs", "scale", "inv_dim", "n_layers",
+        "n_q_heads", "n_kv_heads", "head_dim", "causal",
     )
 
     def __init__(self, ctx, sig, ws, embed_table, embed_checked, layers, head,
@@ -186,12 +216,11 @@ class FastState:
         self.head: Optional[FastHead] = head
         self.rope = rope
         self.gather: Optional[Callable] = gather
-        self.plan: Tuple[int, ...] = plan
+        self.kv_runs = _kv_runs(plan)
         self.n_layers = ctx.n_layers
         self.n_q_heads = ctx.n_q_heads
         self.n_kv_heads = ctx.n_kv_heads
         self.head_dim = ctx.head_dim
-        self.kv_group = ctx.kv_group
         self.causal = ctx.causal
         # float32 constants mirroring the Tensor path's scalar coercions.
         # A middle pipeline stage carries no embedding table, so the norm's
@@ -602,6 +631,8 @@ def _rope_apply(state: FastState, x: np.ndarray, offset, name: str) -> np.ndarra
                 f"row offsets {offsets} exceed RoPE table {rope.max_seq_len}"
             )
         positions = offsets[:, None] + np.arange(seq_len, dtype=np.int64)[None, :]
+        # Clamps padded tail slots only: run_model has already rejected
+        # rows whose real tokens pass the table.
         np.minimum(positions, rope.max_seq_len - 1, out=positions)
         cos = ws.buf("rope.cos", (batch, seq_len, half))
         sin = ws.buf("rope.sin", (batch, seq_len, half))
@@ -624,20 +655,6 @@ def _rope_apply(state: FastState, x: np.ndarray, offset, name: str) -> np.ndarra
     return out
 
 
-def _expand_kv(state: FastState, x: np.ndarray, name: str) -> np.ndarray:
-    # The expansion *plan* (which local KV head serves each query head) is
-    # hoisted to context construction; here it drives plain head copies
-    # into a capacity-backed buffer — value-identical to the Tensor path's
-    # slice-concatenate, which also materializes a (B, Hq, T, Dh) copy.
-    if state.kv_group == 1:
-        return x
-    batch, _, total, head_dim = x.shape
-    out = state.ws.seq_buf(name, (batch, state.n_q_heads, total, head_dim), axis=2)
-    for q_head, local in enumerate(state.plan):
-        out[:, q_head] = x[:, local]
-    return out
-
-
 def _softmax_inplace(state: FastState, scores: np.ndarray) -> None:
     # Mirrors F.softmax: subtract running max (x + (-max) == x - max
     # bitwise), exp, divide by the sum.  Reductions run over the
@@ -655,6 +672,19 @@ def _split_heads(x: np.ndarray, batch: int, seq_len: int, n_heads: int,
     return x.reshape(batch, seq_len, n_heads, head_dim).transpose(0, 2, 1, 3)
 
 
+def _per_kv_head(a: np.ndarray, b: np.ndarray, runs, out: np.ndarray) -> None:
+    """``a @ b`` where ``b`` holds KV heads and ``a`` / ``out`` query heads.
+
+    Each run of query heads ``[lo, hi)`` multiplies against its one KV
+    head, broadcast over the run.  Every (row, query head) pair runs the
+    same 2-D GEMM on the same bytes as against a GQA-expanded copy, so
+    the result is bit-identical to it — unlike stacking a group's query
+    heads into one GEMM, which changes the kernel.
+    """
+    for lo, hi, kv_head in runs:
+        np.matmul(a[:, lo:hi], b[:, kv_head : kv_head + 1], out=out[:, lo:hi])
+
+
 def _finish_attention(state: FastState, layer: int, scores: np.ndarray,
                       values: np.ndarray, batch: int, seq_len: int,
                       region: _Region) -> np.ndarray:
@@ -662,7 +692,7 @@ def _finish_attention(state: FastState, layer: int, scores: np.ndarray,
     head_dim = state.head_dim
     context = ws.buf("attn.ctx", (batch, state.n_q_heads, seq_len, head_dim))
     region.start()
-    np.matmul(scores, values, out=context)
+    _per_kv_head(scores, values, state.kv_runs, context)
     region.stop(f"layer{layer}.attn.pv")
     region.start()
     merged = ws.buf("attn.merged", (batch, seq_len, state.n_q_heads * head_dim))
@@ -702,13 +732,9 @@ def _attention_dense(state: FastState, layer: int, x: np.ndarray,
     else:
         keys, values = kh, vh
     total = offset + seq_len
-    region.start()
-    keys = _expand_kv(state, keys, "k.exp")
-    values = _expand_kv(state, values, "v.exp")
-    region.stop(f"layer{layer}.attn.expand")
     scores = ws.seq_buf("scores", (batch, state.n_q_heads, seq_len, total), axis=3)
     region.start()
-    np.matmul(qh, keys.transpose(0, 1, 3, 2), out=scores)
+    _per_kv_head(qh, keys.transpose(0, 1, 3, 2), state.kv_runs, scores)
     np.multiply(scores, state.scale, out=scores)
     region.stop(f"layer{layer}.attn.qk")
     region.start()
@@ -725,6 +751,56 @@ def _attention_dense(state: FastState, layer: int, x: np.ndarray,
     _softmax_inplace(state, scores)
     region.stop(f"layer{layer}.attn.softmax")
     return _finish_attention(state, layer, scores, values, batch, seq_len, region)
+
+
+def _stage_kv(state: FastState, layer: int, ragged, kh: np.ndarray,
+              vh: np.ndarray, offsets: np.ndarray, totals: np.ndarray,
+              width: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Write each row's new K/V to its cache and to the layer's staging rows.
+
+    Staging row ``b`` mirrors row ``b``'s cache history (its KV heads; the
+    matmuls broadcast each over its query heads).  A row is a *hit* when
+    its record names the cache's epoch and current length: the cache has
+    only grown by what this call writes, so the row takes the new tokens
+    and nothing else.  Any other row re-reads its whole history once
+    (``append``) straight into the staging row.  Rows are keyed by
+    position in the call, so a reordered batch simply misses.  Every
+    staged value is a copy of the cache's, so the matmuls read the bytes
+    a per-step gather would produce.
+    """
+    ws = state.ws
+    batch = len(ragged)
+    stage = ws.stage(f"kv{layer}", batch, state.n_kv_heads, width, state.head_dim)
+    records = stage.records
+    hits = []
+    for row, cache in enumerate(ragged.caches):
+        offset = int(offsets[row])
+        total = int(totals[row])
+        new_k = kh[row : row + 1, :, : total - offset]
+        new_v = vh[row : row + 1, :, : total - offset]
+        epoch = cache.epoch
+        if records[row] == (epoch, offset):
+            cache.write(new_k, new_v)
+            hits.append(row)
+            continue
+        keys, values = cache.append(new_k, new_v)
+        stage.keys[row, :, :total] = keys[0]
+        stage.values[row, :, :total] = values[0]
+        records[row] = (epoch, total)
+    ws.stage_misses += batch - len(hits)
+    if hits:
+        ws.stage_hits += len(hits)
+        rows = np.asarray(hits, dtype=np.intp)
+        counts = totals[rows] - offsets[rows]
+        # One (row, token) pair per new position of every hit row.
+        row_of = np.repeat(rows, counts)
+        token = np.arange(row_of.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        position = offsets[row_of] + token
+        stage.keys[row_of, :, position] = kh[row_of, :, token]
+        stage.values[row_of, :, position] = vh[row_of, :, token]
+        for row in hits:
+            records[row] = (ragged.caches[row].epoch, int(totals[row]))
+    return stage.keys[:batch, :, :width], stage.values[:batch, :, :width]
 
 
 def _attention_ragged(state: FastState, layer: int, x: np.ndarray,
@@ -756,31 +832,17 @@ def _attention_ragged(state: FastState, layer: int, x: np.ndarray,
     # pad_to floors the padded width so a pipeline's row-microbatches
     # reduce over exactly the widths the full-batch pass would.
     max_total = max(int(totals.max()), getattr(ragged, "pad_to", 0))
-    # zero=True: freshly grown capacity starts as exact 0.0f (never NaN
-    # garbage).  Stale finite values beyond a row's extent are harmless:
-    # those key positions are masked, their softmax weight underflows to
-    # exactly 0.0, and 0.0 * finite == 0.0 bit for bit.
-    full_k = ws.seq_buf("ragged.k", (batch, state.n_kv_heads, max_total, head_dim),
-                        axis=2, zero=True)
-    full_v = ws.seq_buf("ragged.v", (batch, state.n_kv_heads, max_total, head_dim),
-                        axis=2, zero=True)
+    # Staging positions past a row's total hold zeros or stale finite
+    # values: those key positions are masked, their softmax weight
+    # underflows to exactly 0.0, and 0.0 * finite == 0.0 bit for bit.
     region.start()
-    for row, cache in enumerate(ragged.caches):
-        valid = int(lengths[row])
-        row_keys, row_values = cache.append(
-            kh[row : row + 1, :, :valid], vh[row : row + 1, :, :valid]
-        )
-        full_k[row, :, : totals[row]] = row_keys[0]
-        full_v[row, :, : totals[row]] = row_values[0]
+    keys, values = _stage_kv(state, layer, ragged, kh, vh, offsets, totals,
+                             max_total)
     region.stop(f"layer{layer}.attn.cache")
-    region.start()
-    keys = _expand_kv(state, full_k, "k.exp")
-    values = _expand_kv(state, full_v, "v.exp")
-    region.stop(f"layer{layer}.attn.expand")
     scores = ws.seq_buf("scores", (batch, state.n_q_heads, max_new, max_total),
                         axis=3)
     region.start()
-    np.matmul(qh, keys.transpose(0, 1, 3, 2), out=scores)
+    _per_kv_head(qh, keys.transpose(0, 1, 3, 2), state.kv_runs, scores)
     np.multiply(scores, state.scale, out=scores)
     region.stop(f"layer{layer}.attn.qk")
     region.start()

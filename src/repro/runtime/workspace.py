@@ -26,6 +26,11 @@ kernels fall back to streaming blockwise dequantization through ordinary
 budget is what keeps the dequant footprint a tunable scratch cost rather
 than an unconditional fp32 copy of every quantized weight.
 
+Ragged attention keeps each layer's K/V history in a persistent
+:meth:`Workspace.stage` pair (a :class:`KVStage`): one staging row per
+batch row, recording which cache epoch and how many positions it mirrors,
+so a decode step copies only its new token instead of the whole history.
+
 ``allocations`` / ``bytes_allocated`` count *backing-array* creations
 only.  They are the regression surface for the zero-allocation-per-step
 contract: once the decode loop is warm, both counters must stop moving.
@@ -33,7 +38,7 @@ contract: once the decode loop is warm, both counters must stop moving.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -46,22 +51,53 @@ _INITIAL_CAPACITY = 32
 DEFAULT_DEQUANT_CACHE_BYTES = 64 << 20
 
 
+def _grow(capacity: int, needed: int) -> int:
+    """``capacity`` doubled (from 1) until it holds ``needed``."""
+    capacity = max(capacity, 1)
+    while capacity < needed:
+        capacity *= 2
+    return capacity
+
+
+class KVStage:
+    """K/V staging rows of one attention layer.
+
+    ``keys`` / ``values`` are zero-initialized ``(rows, heads, width,
+    head_dim)`` capacity buffers.  ``records[b]`` is ``(epoch, length)``
+    when row ``b`` holds the first ``length`` positions of the cache whose
+    epoch is ``epoch`` (see :mod:`repro.nn.kv_cache`), else None.
+    """
+
+    __slots__ = ("keys", "values", "records")
+
+    def __init__(self, keys: np.ndarray, values: np.ndarray, records: list) -> None:
+        self.keys = keys
+        self.values = values
+        self.records: List[Optional[Tuple[object, int]]] = records
+
+
 class Workspace:
     """Named reusable buffers with allocation accounting."""
 
-    __slots__ = ("_exact", "_grown", "_cache", "cache_limit", "cache_bytes",
-                 "allocations", "bytes_allocated")
+    __slots__ = ("_exact", "_grown", "_cache", "_stages", "cache_limit",
+                 "cache_bytes", "allocations", "bytes_allocated",
+                 "stage_hits", "stage_misses")
 
     def __init__(self, cache_limit: Optional[int] = None) -> None:
         self._exact: Dict[tuple, np.ndarray] = {}
         self._grown: Dict[tuple, np.ndarray] = {}
         self._cache: Dict[tuple, Tuple[np.ndarray, tuple]] = {}
+        self._stages: Dict[tuple, KVStage] = {}
         self.cache_limit = (
             DEFAULT_DEQUANT_CACHE_BYTES if cache_limit is None else cache_limit
         )
         self.cache_bytes = 0
         self.allocations = 0
         self.bytes_allocated = 0
+        # Ragged rows whose staging row was current (copied only new
+        # tokens) vs rows that re-read their cache history.
+        self.stage_hits = 0
+        self.stage_misses = 0
 
     def _allocate(self, shape: Tuple[int, ...], dtype, zero: bool) -> np.ndarray:
         array = np.zeros(shape, dtype=dtype) if zero else np.empty(shape, dtype=dtype)
@@ -144,22 +180,61 @@ class Workspace:
         needed = shape[axis]
         array = self._grown.get(key)
         if array is None or array.shape[axis] < needed:
-            capacity = _INITIAL_CAPACITY if array is None else array.shape[axis]
-            while capacity < needed:
-                capacity *= 2
+            capacity = _grow(
+                _INITIAL_CAPACITY if array is None else array.shape[axis], needed
+            )
             full = shape[:axis] + (capacity,) + shape[axis + 1 :]
             array = self._allocate(full, dtype, zero=zero)
             self._grown[key] = array
         index = (slice(None),) * axis + (slice(0, needed),)
         return array[index]
 
+    def stage(
+        self,
+        name: str,
+        rows: int,
+        heads: int,
+        width: int,
+        head_dim: int,
+        dtype=np.float32,
+    ) -> KVStage:
+        """The staging pair under ``name``, holding at least ``rows`` rows
+        of ``width`` positions.
+
+        Both capacities double from use — never from a model's maximum
+        sequence length — and a grow copies the old rows and records over,
+        so staged history survives it.  Grown regions start as exact
+        0.0f; as with :meth:`seq_buf`, positions past a row's valid length
+        hold stale finite values that callers must mask.
+        """
+        key = (name, heads, head_dim, np.dtype(dtype).str)
+        stage = self._stages.get(key)
+        if stage is not None:
+            have_rows, _, have_width, _ = stage.keys.shape
+            if rows <= have_rows and width <= have_width:
+                return stage
+        else:
+            have_rows = have_width = 0
+        shape = (_grow(have_rows, rows), heads, _grow(have_width, width), head_dim)
+        keys = self._allocate(shape, dtype, zero=True)
+        values = self._allocate(shape, dtype, zero=True)
+        records: List[Optional[Tuple[object, int]]] = [None] * shape[0]
+        if stage is not None:
+            keys[:have_rows, :, :have_width] = stage.keys
+            values[:have_rows, :, :have_width] = stage.values
+            records[:have_rows] = stage.records
+        stage = KVStage(keys, values, records)
+        self._stages[key] = stage
+        return stage
+
     def __repr__(self) -> str:
+        buffers = (len(self._exact) + len(self._grown) + len(self._cache)
+                   + 2 * len(self._stages))
         return (
-            f"Workspace(buffers="
-            f"{len(self._exact) + len(self._grown) + len(self._cache)}, "
+            f"Workspace(buffers={buffers}, "
             f"allocations={self.allocations}, "
             f"bytes={self.bytes_allocated:,})"
         )
 
 
-__all__ = ["DEFAULT_DEQUANT_CACHE_BYTES", "Workspace"]
+__all__ = ["DEFAULT_DEQUANT_CACHE_BYTES", "KVStage", "Workspace"]

@@ -371,23 +371,36 @@ class PagedKVStore:
 class PagedLayerCache:
     """One layer's slots of one sequence, backed by shared store pages.
 
-    Same ``seq_len`` / ``append -> (keys, values)`` / ``truncate`` contract
-    as :class:`~repro.serving.pool.PooledLayerCache`; the only behavioural
-    difference is the write guard — appending into a sealed or shared page
-    is a COW violation and raises instead of corrupting a neighbour.
+    Same ``seq_len`` / ``epoch`` / ``write`` / ``append -> (keys, values)``
+    / ``truncate`` contract as :class:`~repro.serving.pool.PooledLayerCache`;
+    the only behavioural difference is the write guard — appending into a
+    sealed or shared page is a COW violation and raises instead of
+    corrupting a neighbour.
     """
 
     def __init__(self, sequence: "PagedSequenceCache", layer: int, length: int) -> None:
         self._sequence = sequence
         self._layer = layer
         self._len = length
+        self._epoch = object()
 
     @property
     def seq_len(self) -> int:
         return self._len
 
+    @property
+    def epoch(self) -> object:
+        """Token renewed on creation and on every :meth:`truncate`.
+
+        A COW fork or unseal only happens inside a truncate, and a dedup
+        swap replaces a page with a bit-identical one, so while the epoch
+        holds the first ``seq_len`` positions read back unchanged.
+        """
+        return self._epoch
+
     def truncate(self, length: int) -> None:
-        """Roll this layer back; page bookkeeping lives on the sequence."""
+        """Roll this layer back; page bookkeeping lives on the sequence.
+        Renews the epoch."""
         length = int(length)
         if length < 0:
             raise ShapeError(f"cannot truncate to negative length {length}")
@@ -396,8 +409,11 @@ class PagedLayerCache:
                 f"cannot truncate to {length}: cache holds {self._len} positions"
             )
         self._len = length
+        self._epoch = object()
 
-    def append(self, keys: np.ndarray, values: np.ndarray) -> tuple:
+    def write(self, keys: np.ndarray, values: np.ndarray) -> None:
+        """Write new (1, H, T, Dh) positions into private pages (sealing
+        any page this completes) without reading history back."""
         sequence = self._sequence
         store = sequence.store
         keys = np.asarray(keys)
@@ -436,7 +452,12 @@ class PagedLayerCache:
             ]
             written += take
         self._len += new_tokens
-        sequence._maybe_seal()
+        if self._len // page_size > sequence._sealed_pages:
+            sequence._maybe_seal()  # this write may complete a page
+
+    def append(self, keys: np.ndarray, values: np.ndarray) -> tuple:
+        """:meth:`write`, then contiguous copies of the full history."""
+        self.write(keys, values)
         return self._gather()
 
     def _check_writable(self, page: int) -> None:

@@ -139,17 +139,24 @@ class PooledLayerCache:
         self._sequence = sequence
         self._layer = layer
         self._len = 0
+        self._epoch = object()
 
     @property
     def seq_len(self) -> int:
         return self._len
+
+    @property
+    def epoch(self) -> object:
+        """Token renewed on creation and on every :meth:`truncate`; while
+        it holds, the cache has only grown since it was last read."""
+        return self._epoch
 
     def truncate(self, length: int) -> None:
         """Roll this layer back to ``length`` positions (draft rollback).
 
         Per-layer lengths only; block bookkeeping lives on the sequence —
         callers go through :meth:`PooledSequenceCache.truncate`, which also
-        returns surplus blocks to the pool.
+        returns surplus blocks to the pool.  Renews the epoch.
         """
         length = int(length)
         if length < 0:
@@ -159,9 +166,11 @@ class PooledLayerCache:
                 f"cannot truncate to {length}: cache holds {self._len} positions"
             )
         self._len = length
+        self._epoch = object()
 
-    def append(self, keys: np.ndarray, values: np.ndarray) -> tuple:
-        """Append new positions; returns the full (keys, values) so far."""
+    def write(self, keys: np.ndarray, values: np.ndarray) -> None:
+        """Write new (1, H, T, Dh) positions into the reserved blocks
+        without reading history back."""
         sequence = self._sequence
         pool = sequence.pool
         keys = np.asarray(keys)
@@ -199,6 +208,10 @@ class PooledLayerCache:
             ]
             written += take
         self._len += new_tokens
+
+    def append(self, keys: np.ndarray, values: np.ndarray) -> tuple:
+        """:meth:`write`, then contiguous copies of the full history."""
+        self.write(keys, values)
         return self._gather()
 
     def _gather(self) -> tuple:

@@ -37,8 +37,8 @@ FLAVORS = ("dense", "tied", "decomposed")
 WORLD_SIZES = (1, 2)
 
 
-def build_tiny(flavor: str):
-    config = replace(TINY, tie_lm_head=(flavor == "tied"))
+def build_tiny(flavor: str, base=TINY):
+    config = replace(base, tie_lm_head=(flavor == "tied"))
     model = build_model(config, rng=np.random.default_rng(0))
     model.eval()
     if flavor == "decomposed":
@@ -140,6 +140,181 @@ class TestFastPathIdentity:
                 sharded.close()
 
 
+def _replay(runners, new_cache, schedule, seed=11):
+    """Run a ragged ``schedule`` and return every valid logits row.
+
+    Ops: ``("open", seq, prompt)`` makes a cache (``prompt`` keys a paged
+    store's prefix match), ``("fwd", runner, rows)`` runs one ragged
+    forward over ``rows`` of ``(seq, n_new | explicit token ids)`` in
+    batch order, ``("cached", runner, seq, n)`` appends through
+    ``forward_cached`` (outside the ragged staging), ``("trunc", seq,
+    length)`` rolls a cache back and ``("free", seq)`` releases it.  Fresh
+    token ids come from one seeded stream, so two replays feed the same
+    ids.
+    """
+    rng = np.random.default_rng(seed)
+    vocab = TINY.vocab_size
+    caches, outputs = {}, []
+
+    def feed(cache, spec):
+        ids = (rng.integers(0, vocab, size=spec) if np.ndim(spec) == 0
+               else np.asarray(spec, dtype=np.int64))
+        if hasattr(cache, "reserve"):
+            cache.reserve(ids.size)
+            cache.note_tokens(ids)
+        return ids
+
+    for op in schedule:
+        kind = op[0]
+        if kind == "open":
+            caches[op[1]] = new_cache(op[2])
+        elif kind == "fwd":
+            rows = [(caches[seq], spec) for seq, spec in op[2]]
+            ids = [feed(cache, spec) for cache, spec in rows]
+            lengths = np.asarray([row.size for row in ids])
+            batch = np.zeros((len(ids), int(lengths.max())), dtype=np.int64)
+            for index, row in enumerate(ids):
+                batch[index, : row.size] = row
+            logits = runners[op[1]].forward_ragged(
+                batch, [cache for cache, _ in rows], lengths
+            ).data
+            outputs.extend(logits[index, :valid] for index, valid in enumerate(lengths))
+        elif kind == "cached":
+            cache = caches[op[2]]
+            ids = feed(cache, op[3])
+            outputs.append(runners[op[1]].forward_cached(ids[None, :], cache).data)
+        elif kind == "trunc":
+            caches[op[1]].truncate(op[2])
+        elif kind == "free":
+            cache = caches.pop(op[1])
+            if hasattr(cache, "free"):  # a growable cache is just dropped
+                cache.free()
+    return outputs
+
+
+_PREFIX = np.arange(9, dtype=np.int64) + 5  # two full 4-token pages + one
+
+#: Ragged schedules that make the fast path's KV staging rows go stale in
+#: every way a serving engine can: each must still match the Tensor path.
+STAGING_SCHEDULES = {
+    # Truncate, then re-append the same length with different tokens
+    # outside the staging: only the cache epoch tells row 0 it is stale.
+    "spec-rollback": [
+        ("open", "a", None), ("open", "b", None),
+        ("fwd", "A", [("a", 5), ("b", 7)]),
+        ("fwd", "A", [("a", 1), ("b", 1)]),
+        ("fwd", "A", [("a", 3), ("b", 1)]),
+        ("trunc", "a", 6),
+        ("cached", "A", "a", 3),
+        ("fwd", "A", [("a", 1), ("b", 1)]),
+        ("fwd", "A", [("a", 1), ("b", 1)]),
+    ],
+    # A request finishes mid-batch: the next row slides onto its staging
+    # row at the very same length.
+    "reorder": [
+        ("open", "a", None), ("open", "b", None), ("open", "c", None),
+        ("fwd", "A", [("a", 4), ("b", 6), ("c", 6)]),
+        ("fwd", "A", [("a", 1), ("b", 1), ("c", 1)]),
+        ("free", "b"),
+        ("fwd", "A", [("a", 1), ("c", 1)]),
+        ("fwd", "A", [("c", 1), ("a", 1)]),
+        ("open", "d", None),
+        ("fwd", "A", [("c", 1), ("a", 1), ("d", 5)]),
+        ("fwd", "A", [("c", 1), ("a", 1), ("d", 1)]),
+    ],
+    # Shared prefix pages: concurrent identical prefills dedup onto the
+    # sealed pages (block tables swap under staged rows), a prefix match
+    # shares them, and rollbacks into a shared page fork it.  (On a paged
+    # store, spec-rollback's cut into a private sealed page unseals it.)
+    "cow-dedup": [
+        ("open", "a", None),
+        ("fwd", "A", [("a", _PREFIX)]),
+        ("open", "b", None), ("open", "c", None),
+        ("fwd", "A", [("b", _PREFIX), ("c", _PREFIX), ("a", 1)]),
+        ("fwd", "A", [("b", 1), ("c", 1), ("a", 1)]),
+        ("fwd", "A", [("b", 1), ("c", 1), ("a", 1)]),
+        ("open", "d", np.concatenate([_PREFIX, [1, 2]])),
+        ("fwd", "A", [("b", 1), ("c", 1), ("d", 3)]),
+        ("trunc", "d", 6),
+        ("trunc", "b", 6),
+        ("fwd", "A", [("b", 2), ("c", 1), ("d", 2)]),
+        ("fwd", "A", [("b", 1), ("c", 1), ("d", 1)]),
+    ],
+    # Row and width capacities grow mid-run while row 0 keeps hitting.
+    "growth": [
+        ("open", "a", None),
+        ("fwd", "A", [("a", 3)]),
+        ("fwd", "A", [("a", 1)]),
+        ("open", "b", None), ("open", "c", None),
+        ("fwd", "A", [("a", 1), ("b", 20), ("c", 2)]),
+        *[("fwd", "A", [("a", 1), ("b", 1), ("c", 1)])] * 14,
+    ],
+    # A variant hot-swap: B writes the caches A staged, then A resumes.
+    "hot-swap": [
+        ("open", "a", None), ("open", "b", None),
+        ("fwd", "A", [("a", 5), ("b", 3)]),
+        ("fwd", "A", [("a", 1), ("b", 1)]),
+        ("fwd", "B", [("a", 1), ("b", 1)]),
+        ("fwd", "A", [("a", 1), ("b", 1)]),
+        ("fwd", "B", [("a", 1), ("b", 1)]),
+        ("fwd", "B", [("a", 1), ("b", 1)]),
+        ("fwd", "A", [("a", 1), ("b", 1)]),
+    ],
+}
+
+
+@pytest.mark.parametrize("store, schedule", [
+    (store, schedule)
+    for store in ("growable", "paged", "pp2", "tp2-split")
+    for schedule in sorted(STAGING_SCHEDULES)
+    if not (store == "growable" and schedule == "cow-dedup")  # needs pages
+])
+def test_ragged_staging_matches_tensor_path(store, schedule):
+    """Multi-step ragged schedules, fast path vs Tensor path, bit for bit.
+
+    ``pp2`` runs both variants on a two-stage pipeline, whose row
+    microbatches reuse staging rows 0..k in every chunk; ``tp2-split``
+    shards 6 query / 3 KV heads over two ranks, so a KV group is split
+    and each rank's KV heads serve query-head runs of unequal length.
+    """
+    from repro.parallel import ShardedLlama
+    from repro.serving.paged import PagedKVStore
+
+    base = replace(TINY, dim=48, n_heads=6, n_kv_heads=3) if store == "tp2-split" else TINY
+    models = {"A": build_tiny("dense", base), "B": build_tiny("decomposed", base)}
+    runners = dict(models)
+    sharded = []
+    if store in ("pp2", "tp2-split"):
+        tp, pp = (1, 2) if store == "pp2" else (2, 1)
+        runners = {key: ShardedLlama(model, tp, pp=pp) for key, model in models.items()}
+        sharded = list(runners.values())
+    try:
+        def replay():
+            if store == "growable":
+                def new_cache(prompt):
+                    return ModelKVCache(TINY.n_layers)
+            else:
+                pool = (
+                    PagedKVStore(TINY, n_blocks=64, block_tokens=4)
+                    if store == "paged"
+                    else runners["A"].make_kv_pool(64, 4, paged=True)
+                )
+
+                def new_cache(prompt):
+                    return pool.acquire_sequence(prompt)
+            return _replay(runners, new_cache, STAGING_SCHEDULES[schedule])
+
+        with fastpath.disabled():
+            reference = replay()
+        fast = replay()
+    finally:
+        for runner in sharded:
+            runner.close()
+    assert len(fast) == len(reference)
+    for expected, got in zip(reference, fast):
+        np.testing.assert_array_equal(expected, got)
+
+
 class TestFastPathSelection:
     def test_training_mode_keeps_tensor_path(self):
         model = build_tiny("dense")
@@ -191,18 +366,68 @@ class TestZeroAllocationDecode:
         assert workspace.allocations == allocations
         assert workspace.bytes_allocated == nbytes
 
-    def test_ragged_steady_state_allocates_nothing(self):
+    @staticmethod
+    def _warm_ragged_loop(flavour: str, rows: int = 2):
+        """A dense tiny model and a ``step()`` decoding ``rows`` stable rows."""
+        from repro.serving.paged import PagedKVStore
+
         model = build_tiny("dense")
-        caches = [ModelKVCache(model.config.n_layers) for _ in range(2)]
-        step = tokens_for(model.config, 2, 1)
-        lengths = np.array([1, 1])
+        if flavour == "growable":
+            caches = [ModelKVCache(model.config.n_layers) for _ in range(rows)]
+        else:
+            store = PagedKVStore(model.config, n_blocks=64, block_tokens=8)
+            caches = [store.acquire_sequence() for _ in range(rows)]
+        step_ids = tokens_for(model.config, rows, 1)
+        lengths = np.ones(rows, dtype=np.int64)
+
+        def step():
+            if flavour == "paged":
+                for cache, ids in zip(caches, step_ids):
+                    cache.reserve(1)
+                    cache.note_tokens(ids)
+            model.runtime.forward_ragged(step_ids, caches, lengths)
+
+        return model, caches, step
+
+    def _assert_steady_state_allocates_nothing(self, flavour: str) -> None:
+        model, _, step = self._warm_ragged_loop(flavour)
         for _ in range(40):
-            model.runtime.forward_ragged(step, caches, lengths)
+            step()
         workspace = model.runtime.workspace
         allocations = workspace.allocations
+        nbytes = workspace.bytes_allocated
         for _ in range(10):
-            model.runtime.forward_ragged(step, caches, lengths)
+            step()
         assert workspace.allocations == allocations
+        assert workspace.bytes_allocated == nbytes
+
+    def test_ragged_steady_state_allocates_nothing(self):
+        self._assert_steady_state_allocates_nothing("growable")
+
+    def test_ragged_steady_state_allocates_nothing_paged(self):
+        self._assert_steady_state_allocates_nothing("paged")
+
+    @pytest.mark.parametrize("flavour", ("growable", "paged"))
+    def test_warm_ragged_decode_reads_no_history(self, flavour, monkeypatch):
+        """Stable rows write only their new token: nothing reads a cache's
+        history back (``append`` is ``write`` plus that read)."""
+        model, caches, step = self._warm_ragged_loop(flavour, rows=3)
+        for _ in range(4):
+            step()
+        layer_type = type(caches[0].layers[0])
+        reads = []
+        original = layer_type.append
+
+        def counting_append(self, keys, values):
+            reads.append(self)
+            return original(self, keys, values)
+
+        monkeypatch.setattr(layer_type, "append", counting_append)
+        hits = model.runtime.workspace.stage_hits
+        for _ in range(10):
+            step()
+        assert reads == []
+        assert model.runtime.workspace.stage_hits - hits == 10 * 3 * TINY.n_layers
 
 
 class TestFastPathErrors:
@@ -225,6 +450,31 @@ class TestFastPathErrors:
         tokens = tokens_for(model.config, 2, 4)
         with pytest.raises(ShapeError, match="pad_mask"):
             model.forward(tokens, pad_mask=np.zeros((2, 5), dtype=bool))
+
+    @pytest.mark.parametrize("path", ("fast", "tensor", "sharded"))
+    def test_ragged_rows_past_rope_table_are_rejected(self, path):
+        """Real tokens must not be rotated at a clamped position: a ragged
+        forward reaching past ``max_seq_len`` fails like ``forward_cached``
+        does, before any cache is written."""
+        from contextlib import nullcontext
+
+        from repro.models import get_config
+        from repro.parallel import ShardedLlama
+
+        config = get_config("tiny-llama")
+        model = build_model(config, rng=np.random.default_rng(0))
+        model.eval()
+        runner = ShardedLlama(model, 2) if path == "sharded" else model
+        try:
+            cache = runner.make_cache()
+            runner.forward_cached(tokens_for(config, 1, config.max_seq_len - 4), cache)
+            with fastpath.disabled() if path == "tensor" else nullcontext():
+                with pytest.raises(ShapeError, match="RoPE"):
+                    runner.forward_ragged(tokens_for(config, 1, 8), [cache], np.array([8]))
+            assert cache.seq_len == config.max_seq_len - 4
+        finally:
+            if path == "sharded":
+                runner.close()
 
     def test_rope_overflow_error_survives_fast_path(self):
         model = build_tiny("dense")
@@ -268,6 +518,22 @@ class TestWorkspace:
         assert workspace.allocations == backing_allocs
         workspace.seq_buf("s", (2, 33), axis=1)
         assert workspace.allocations == backing_allocs + 1
+
+    def test_stage_grows_from_use_and_keeps_rows(self):
+        workspace = Workspace()
+        stage = workspace.stage("kv0", 3, 2, 5, 4)
+        assert stage.keys.shape == (4, 2, 8, 4) and not stage.keys.any()
+        assert workspace.allocations == 2
+        assert workspace.bytes_allocated == 2 * stage.keys.nbytes
+        stage.keys[2, :, :5] = 1.0
+        stage.records[2] = (7, 5)
+        assert workspace.stage("kv0", 4, 2, 8, 4) is stage
+        grown = workspace.stage("kv0", 5, 2, 9, 4)
+        assert grown.keys.shape == (8, 2, 16, 4)
+        assert grown.records[2] == (7, 5) and grown.records[4:] == [None] * 4
+        np.testing.assert_array_equal(grown.keys[2, :, :5], 1.0)
+        assert not grown.keys[2, :, 5:].any() and not grown.values.any()
+        assert workspace.allocations == 4
 
     def test_seq_buf_zero_fills_on_allocation(self):
         workspace = Workspace()

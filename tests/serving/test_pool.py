@@ -130,3 +130,38 @@ class TestPooledSequenceCache:
         cache.layers[0].append(kv, kv)
         assert cache.layers[0].seq_len == 2
         assert cache.layers[1].seq_len == 0
+
+
+@pytest.mark.parametrize("flavour", ("growable", "pooled", "paged"))
+def test_layer_cache_epoch_and_write_contract(flavour, smoke_config, rng):
+    """Every layer-cache flavour: ``write`` appends without reading back,
+    ``append`` is ``write`` plus the history read, and the epoch is fresh
+    on creation and renewed by every ``truncate``."""
+    from repro.serving import PagedKVStore
+
+    def new_layer():
+        if flavour == "growable":
+            return LayerKVCache()
+        store_cls = KVBlockPool if flavour == "pooled" else PagedKVStore
+        sequence = store_cls(smoke_config, n_blocks=8, block_tokens=4).allocate_sequence()
+        sequence.reserve(12)
+        return sequence.layers[0]
+
+    layer = new_layer()
+    other = new_layer()
+    assert layer.epoch != other.epoch
+    shape = (1, smoke_config.kv_heads, 3, smoke_config.head_dim)
+    keys = rng.normal(size=shape).astype(np.float32)
+    values = rng.normal(size=shape).astype(np.float32)
+    epoch = layer.epoch
+    assert layer.write(keys, values) is None
+    assert layer.seq_len == 3 and layer.epoch == epoch
+    full_k, full_v = layer.append(keys, values)
+    np.testing.assert_array_equal(full_k, np.concatenate([keys, keys], axis=2))
+    np.testing.assert_array_equal(full_v, np.concatenate([values, values], axis=2))
+    assert layer.epoch == epoch
+    layer.truncate(6)
+    assert layer.epoch != epoch
+    renewed = layer.epoch
+    layer.truncate(2)
+    assert layer.epoch not in (epoch, renewed) and layer.seq_len == 2
