@@ -12,26 +12,33 @@ re-``np.concatenate``-d the whole history every token — O(T^2) over a
 generation.)
 
 Every layer-cache flavour (this one, the block-pool and paged caches in
-:mod:`repro.serving`) shares a two-part write contract: ``write`` appends
-new positions without reading the history back, and ``append`` is
-``write`` plus a read of the whole history.  Each also carries an
+:mod:`repro.serving`) shares one contract: ``write`` appends new
+positions without reading the history back, ``read`` returns the whole
+history, and ``append`` is ``write`` then ``read``.  Each also carries an
 ``epoch`` token — a fresh ``object()``, equal only to itself, so a held
 token is never reissued — renewed on creation and on every
 ``truncate()``: while the epoch is unchanged the cache has only grown, so
 a consumer that mirrors its first ``n`` positions (the fast path's KV
-staging rows) knows the mirror is still exact.
+staging slots) knows the mirror is still exact.
+
+Every sequence-cache flavour (:class:`ModelKVCache`, the pooled and paged
+sequences) also answers one resolver call, ``kv_slots(n, heads,
+head_dim)``: where its next ``n`` positions live in every layer, as a
+:class:`KVSlots`.  It runs the flavour's capacity, copy-on-write and
+freed-sequence checks once, raising before anything is written, so a
+batched forward can resolve every row up front and then write each
+layer's new K/V with one scatter per backing store.  The layers' ``write``
+goes through the same checks.
 
 :class:`RaggedLayerCaches` / :class:`RaggedModelCaches` bundle several
 independent per-sequence caches into one batch object so a single forward
 pass can serve sequences of different lengths — the interface the
-continuous-batching engine in :mod:`repro.serving` drives.  Any object with
-the ``seq_len`` / ``epoch`` / ``write`` / ``append`` contract (e.g. the
-block-pool backed caches in :mod:`repro.serving.pool`) can participate.
+continuous-batching engine in :mod:`repro.serving` drives.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -40,13 +47,57 @@ from repro.errors import ShapeError
 _INITIAL_CAPACITY = 16
 
 
-class LayerKVCache:
-    """Grows along the sequence axis as tokens are appended."""
+class KVSlots(NamedTuple):
+    """Where one sequence's next positions live, in every layer.
 
-    def __init__(self) -> None:
-        self._keys: Optional[np.ndarray] = None    # (B, H_kv, capacity, Dh)
-        self._values: Optional[np.ndarray] = None
-        self._len = 0
+    ``keys[l]`` / ``values[l]`` are layer ``l``'s backing arrays, shaped
+    ``(blocks, heads, block_len, head_dim)``; new position ``i`` goes to
+    ``[blocks[i], :, slots[i]]`` of every layer (``blocks`` and ``slots``
+    are lists of ints).  Sequences whose ``store`` is the same object
+    share those arrays, so a batch can write all their new positions with
+    one fancy-index scatter per layer.  Writing does
+    not move ``seq_len``: the writer calls each layer's :meth:`advance`
+    once that layer is written, then ``after`` (when not None) once every
+    layer is — a paged sequence seals the pages the write completed.
+    """
+
+    store: object
+    keys: Sequence[np.ndarray]
+    values: Sequence[np.ndarray]
+    blocks: List[int]
+    slots: List[int]
+    after: Optional[Callable[[], None]]
+
+
+def uniform_length(layers) -> int:
+    """The one ``seq_len`` every layer cache reports (ShapeError if not)."""
+    length = layers[0].seq_len
+    for layer in layers:
+        if layer.seq_len != length:
+            raise ShapeError(
+                f"layer caches disagree on length: "
+                f"{[other.seq_len for other in layers]}"
+            )
+    return length
+
+
+def check_entries(keys, values) -> tuple:
+    """``keys`` / ``values`` as matching (B, H, T, Dh) arrays."""
+    keys = np.asarray(keys)
+    values = np.asarray(values)
+    if keys.ndim != 4 or values.shape != keys.shape:
+        raise ShapeError(
+            f"cache entries must be matching (B, H, T, Dh); got "
+            f"{keys.shape} / {values.shape}"
+        )
+    return keys, values
+
+
+class LayerLength:
+    """Length and epoch bookkeeping shared by every layer-cache flavour."""
+
+    def __init__(self, length: int = 0) -> None:
+        self._len = length
         self._epoch = object()
 
     @property
@@ -61,6 +112,38 @@ class LayerKVCache:
         still hold what they held then (the cache has only grown).
         """
         return self._epoch
+
+    def advance(self, new_tokens: int) -> None:
+        """Count ``new_tokens`` positions written through ``kv_slots``."""
+        self._len += new_tokens
+
+    def truncate(self, length: int) -> None:
+        """Roll this layer back to its first ``length`` positions.
+
+        Speculative decoding appends draft positions optimistically and
+        discards the rejected suffix; truncation is O(1) — storage keeps
+        its capacity and later writes overwrite the abandoned slots.  The
+        epoch is renewed, since those slots may be rewritten differently.
+        Sequence caches wrap this with their block bookkeeping.
+        """
+        length = int(length)
+        if length < 0:
+            raise ShapeError(f"cannot truncate to negative length {length}")
+        if length > self._len:
+            raise ShapeError(
+                f"cannot truncate to {length}: cache holds {self._len} positions"
+            )
+        self._len = length
+        self._epoch = object()
+
+
+class LayerKVCache(LayerLength):
+    """Grows along the sequence axis as tokens are appended."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._keys: Optional[np.ndarray] = None    # (B, H_kv, capacity, Dh)
+        self._values: Optional[np.ndarray] = None
 
     @property
     def capacity(self) -> int:
@@ -80,18 +163,29 @@ class LayerKVCache:
             return None
         return self._values[:, :, : self._len]
 
-    def _ensure_capacity(self, extra: int) -> None:
-        needed = self._len + extra
+    def _reserve(self, shape: tuple, dtype) -> None:
+        """Room for ``shape = (B, H, T, Dh)`` new positions (allocating or
+        doubling the buffers; ShapeError on a batch/head/dim mismatch)."""
+        batch, heads, new_tokens, head_dim = shape
+        if self._keys is None:
+            capacity = max(new_tokens, _INITIAL_CAPACITY)
+            self._keys = np.empty((batch, heads, capacity, head_dim), dtype=dtype)
+            self._values = np.empty_like(self._keys)
+            return
+        stored = self._keys.shape
+        if (batch, heads) != stored[:2] or head_dim != stored[3]:
+            raise ShapeError(
+                f"cache shape mismatch: stored "
+                f"{(stored[0], stored[1], self._len, stored[3])}, new {shape}"
+            )
+        needed = self._len + new_tokens
         capacity = self.capacity
         if needed <= capacity:
             return
         new_capacity = max(capacity, _INITIAL_CAPACITY)
         while new_capacity < needed:
             new_capacity *= 2
-        batch, heads, _, head_dim = self._keys.shape
-        grown_keys = np.empty(
-            (batch, heads, new_capacity, head_dim), dtype=self._keys.dtype
-        )
+        grown_keys = np.empty((batch, heads, new_capacity, head_dim), dtype=self._keys.dtype)
         grown_values = np.empty_like(grown_keys)
         grown_keys[:, :, : self._len] = self._keys[:, :, : self._len]
         grown_values[:, :, : self._len] = self._values[:, :, : self._len]
@@ -100,53 +194,21 @@ class LayerKVCache:
 
     def write(self, keys: np.ndarray, values: np.ndarray) -> None:
         """Append new (B, H, T, Dh) positions without reading history back."""
-        keys = np.asarray(keys)
-        values = np.asarray(values)
-        if keys.ndim != 4 or values.shape != keys.shape:
-            raise ShapeError(
-                f"cache entries must be matching (B, H, T, Dh); got "
-                f"{keys.shape} / {values.shape}"
-            )
+        keys, values = check_entries(keys, values)
         new_tokens = keys.shape[2]
-        if self._keys is None:
-            batch, heads, _, head_dim = keys.shape
-            capacity = max(new_tokens, _INITIAL_CAPACITY)
-            self._keys = np.empty((batch, heads, capacity, head_dim), dtype=keys.dtype)
-            self._values = np.empty_like(self._keys)
-        else:
-            stored = self._keys.shape
-            if keys.shape[:2] != stored[:2] or keys.shape[3] != stored[3]:
-                raise ShapeError(
-                    f"cache shape mismatch: stored "
-                    f"{(stored[0], stored[1], self._len, stored[3])}, new {keys.shape}"
-                )
-            self._ensure_capacity(new_tokens)
+        self._reserve(keys.shape, keys.dtype)
         self._keys[:, :, self._len : self._len + new_tokens] = keys
         self._values[:, :, self._len : self._len + new_tokens] = values
         self._len += new_tokens
 
-    def append(self, keys: np.ndarray, values: np.ndarray) -> tuple:
-        """:meth:`write`, then views of the full (keys, values) so far."""
-        self.write(keys, values)
+    def read(self) -> tuple:
+        """Views of the full (keys, values) history (None when empty)."""
         return self.keys, self.values
 
-    def truncate(self, length: int) -> None:
-        """Roll the cache back to its first ``length`` positions.
-
-        Speculative decoding appends draft positions optimistically and
-        discards the rejected suffix; truncation is O(1) — the buffer keeps
-        its capacity and later appends overwrite the abandoned slots.  The
-        epoch is renewed, since those slots may be rewritten differently.
-        """
-        length = int(length)
-        if length < 0:
-            raise ShapeError(f"cannot truncate to negative length {length}")
-        if length > self._len:
-            raise ShapeError(
-                f"cannot truncate to {length}: cache holds {self._len} positions"
-            )
-        self._len = length
-        self._epoch = object()
+    def append(self, keys: np.ndarray, values: np.ndarray) -> tuple:
+        """:meth:`write`, then :meth:`read`."""
+        self.write(keys, values)
+        return self.read()
 
 
 class ModelKVCache:
@@ -165,6 +227,26 @@ class ModelKVCache:
         """Roll every layer back to ``length`` positions (draft rollback)."""
         for layer in self.layers:
             layer.truncate(length)
+
+    def kv_slots(self, new_tokens: int, heads: int, head_dim: int) -> KVSlots:
+        """Where the next ``new_tokens`` positions live in every layer.
+
+        A growable cache is its own backing store: each layer's buffer
+        (grown here, up front, so the returned arrays stay valid) holds the
+        sequence as block 0.
+        """
+        start = uniform_length(self.layers)
+        shape = (1, heads, new_tokens, head_dim)
+        for layer in self.layers:
+            layer._reserve(shape, np.float32)
+        return KVSlots(
+            self,
+            [layer._keys for layer in self.layers],
+            [layer._values for layer in self.layers],
+            [0] * new_tokens,
+            list(range(start, start + new_tokens)),
+            None,
+        )
 
     def note_tokens(self, tokens) -> None:
         """Scheduler token-note protocol: a no-op for growable caches.

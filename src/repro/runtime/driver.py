@@ -272,6 +272,7 @@ def run_model(
         raise ShapeError(f"expected (B, T) token ids, got shape {tokens.shape}")
     if isinstance(caches, RaggedModelCaches):
         _check_ragged_positions(ctx, caches)
+        _check_distinct_sequences(caches)
     has_embedding = getattr(ctx, "has_embedding", True)
     has_head = getattr(ctx, "has_head", True)
     if not has_embedding and hidden is None:
@@ -314,6 +315,18 @@ def _check_ragged_positions(ctx: ExecutionContext, caches) -> None:
         raise ShapeError(
             f"ragged row positions up to {int(ends.max())} exceed RoPE table {limit}"
         )
+
+
+def _check_distinct_sequences(caches) -> None:
+    """Reject a ragged batch that lists one sequence cache twice.
+
+    Both rows would write the same positions of one cache (the second
+    row's offset is stale once the first has written), so the batch is
+    refused before any cache is written.
+    """
+    rows = caches.layers[0].caches
+    if len(set(rows)) != len(rows):
+        raise ShapeError("a ragged batch lists the same sequence cache twice")
 
 
 def run_head(ctx: ExecutionContext, hidden) -> Tensor:

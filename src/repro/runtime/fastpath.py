@@ -24,9 +24,10 @@ A context takes the fast path when all of the following hold:
 Quantized projections store int8 grids with per-output-column fp32
 scales.  Their kernels dequantize into the workspace's tag-validated
 dequant cache (see :meth:`~repro.runtime.workspace.Workspace.cache`):
-each projection's fp32 block is materialized once and reused across
-decode steps while the grid identity is unchanged, so the warm loop
-runs pure GEMVs.  The cache has an explicit byte budget; once exhausted,
+each projection's fp32 block is materialized once, bound to its
+:class:`FastProjection` and reused across decode steps (the state is
+rebuilt whenever a grid's identity changes), so the warm loop runs pure
+GEMVs.  The cache has an explicit byte budget; once exhausted,
 kernels stream one column block at a time through shared scratch
 (bounded by the largest block, never a full fp32 weight copy) at the
 cost of per-step dequantization.  Elementwise dequantization of a block
@@ -42,13 +43,22 @@ and ``load_state_dict`` rebinds trigger a rebuild of the cached views.
 
 Ragged KV staging
 -----------------
+A ragged forward is planned once, before the layer loop: row offsets,
+lengths and totals, the RoPE cos/sin rows, the causal-and-length mask,
+and each row's cache destinations.  Destinations come from the one
+sequence-cache resolver, ``kv_slots`` (see :mod:`repro.nn.kv_cache`),
+which runs the capacity, copy-on-write and freed-sequence checks before
+any layer is written; every layer then writes the new K/V of all rows
+sharing a backing store with one fancy-index scatter.
+
 Ragged attention never reassembles a batch's KV history per step.  Each
-layer keeps a persistent staging pair in the workspace
-(:meth:`~repro.runtime.workspace.Workspace.stage`), one row per batch row
-holding that row's KV heads, and each row records the ``(epoch, length)``
-of the cache it mirrors.  A row whose cache still has that epoch and
-length takes only its new tokens (the cache gets them through ``write``);
-any other row re-reads its history once through ``append``.  The score
+layer keeps persistent staging slots in the workspace
+(:meth:`~repro.runtime.workspace.Workspace.stage`) holding cache
+histories (KV heads), keyed by the cache's epoch and length.  A row whose
+cache sits staged at its current length takes only its new tokens; if it
+sits in another slot (rows after a finished request shift up one
+position) its staged history moves over in one copy per layer; any other
+row re-reads its history once through its cache's ``read``.  The score
 and context matmuls read views of the staging pair.  In every attention
 path the matmuls broadcast each KV head over its run of query heads, so
 every (row, query head) GEMM sees the same shapes and bytes as against a
@@ -135,7 +145,8 @@ class FastProjection:
 
     __slots__ = ("weight", "edges", "bias", "u1", "core",
                  "grid", "scales", "u1_grid", "u1_scales",
-                 "core_grid", "core_scales", "out_width", "key")
+                 "core_grid", "core_scales", "out_width", "key",
+                 "deq", "u1_deq", "core_deq")
 
     def __init__(self, weight, edges, bias=None, u1=None, core=None,
                  grid=None, scales=None, u1_grid=None, u1_scales=None,
@@ -153,6 +164,9 @@ class FastProjection:
         self.core_scales = core_scales
         self.out_width = weight.shape[1] if weight is not None else grid.shape[1]
         self.key = key            # stable per-projection dequant-cache key
+        # Dequant-cache buffers, bound on first use.  The state is rebuilt
+        # whenever a grid's identity changes, so a binding never goes stale.
+        self.deq = self.u1_deq = self.core_deq = None
 
 
 class FastLayer:
@@ -202,7 +216,7 @@ class FastState:
     __slots__ = (
         "ctx", "sig", "ws", "embed_table", "embed_checked", "layers", "head",
         "rope", "gather", "kv_runs", "scale", "inv_dim", "n_layers",
-        "n_q_heads", "n_kv_heads", "head_dim", "causal",
+        "n_q_heads", "n_kv_heads", "head_dim", "causal", "stage_names",
     )
 
     def __init__(self, ctx, sig, ws, embed_table, embed_checked, layers, head,
@@ -222,6 +236,7 @@ class FastState:
         self.n_kv_heads = ctx.n_kv_heads
         self.head_dim = ctx.head_dim
         self.causal = ctx.causal
+        self.stage_names = tuple(f"kv{layer}" for layer in range(ctx.n_layers))
         # float32 constants mirroring the Tensor path's scalar coercions.
         # A middle pipeline stage carries no embedding table, so the norm's
         # 1/D constant comes from the explicit model width instead.
@@ -476,22 +491,23 @@ def _dequant_scratch(ws: Workspace, grid: np.ndarray, scales: np.ndarray,
     return out
 
 
-def _dequant(ws: Workspace, grid: np.ndarray, scales: np.ndarray,
-             key: str, scratch: str) -> np.ndarray:
-    """The grid's fp32 dequantization, cached when the budget allows.
+def _cached_dequant(ws: Workspace, key: str, grid: np.ndarray,
+                    scales: np.ndarray) -> Optional[np.ndarray]:
+    """The grid's fp32 dequantization in the workspace cache (None when
+    over budget).
 
-    A cache hit with an unchanged (grid, scales) identity costs nothing —
-    the warm decode loop then runs pure GEMVs on previously dequantized
-    weights, which is what keeps quantized decode within a hair of the
-    fp32 fast path (NumPy's elementwise int8→fp32 multiply costs several
-    times the GEMV it would feed).  Over budget, every call streams
-    through shared :meth:`Workspace.buf` scratch instead.  Cached or
-    streamed, the buffer holds exactly ``fl(grid * scales)`` — the same
+    Callers bind the result to their :class:`FastProjection`, so a warm
+    decode loop runs pure GEMVs on previously dequantized weights without
+    touching the cache again — which is what keeps quantized decode within
+    a hair of the fp32 fast path (NumPy's elementwise int8→fp32 multiply
+    costs several times the GEMV it would feed).  Over budget, every call
+    streams through shared :meth:`Workspace.buf` scratch instead.  Cached
+    or streamed, the buffer holds exactly ``fl(grid * scales)`` — the same
     operand bytes — so bit identity is unaffected by the caching policy.
     """
     cached = ws.cache(key, grid.shape, (id(grid), id(scales)))
     if cached is None:
-        return _dequant_scratch(ws, grid, scales, scratch)
+        return None
     out, fresh = cached
     if fresh:
         np.multiply(grid, scales[None, :], out=out)
@@ -510,14 +526,12 @@ def _quant_blocked_into(ws: Workspace, x: np.ndarray, p: FastProjection,
     the full dequantized matrix, so both modes are bit-identical to
     :func:`_blocked_into` over the full dequant.
     """
-    grid, scales = p.grid, p.scales
-    cached = ws.cache("deq." + p.key, grid.shape, (id(grid), id(scales)))
-    if cached is not None:
-        w, fresh = cached
-        if fresh:
-            np.multiply(grid, scales[None, :], out=w)
-        _blocked_into(x, w, p.edges, out)
+    if p.deq is None:
+        p.deq = _cached_dequant(ws, "deq." + p.key, p.grid, p.scales)
+    if p.deq is not None:
+        _blocked_into(x, p.deq, p.edges, out)
         return
+    grid, scales = p.grid, p.scales
     if len(p.edges) == 1:
         w = _dequant_scratch(ws, grid, scales, "deq.blk")
         np.matmul(x, w, out=out)
@@ -531,9 +545,17 @@ def _quant_blocked_into(ws: Workspace, x: np.ndarray, p: FastProjection,
 def _quant_prefix(ws: Workspace, p: FastProjection, x: np.ndarray,
                   name: str) -> np.ndarray:
     """The factor chain's ``(x @ U1) @ core`` on dequantized factors."""
-    u1 = _dequant(ws, p.u1_grid, p.u1_scales, "deq." + p.key + ".u1", "deq.u1")
-    core = _dequant(ws, p.core_grid, p.core_scales,
-                    "deq." + p.key + ".core", "deq.core")
+    if p.u1_deq is None:
+        p.u1_deq = _cached_dequant(ws, "deq." + p.key + ".u1", p.u1_grid, p.u1_scales)
+    if p.core_deq is None:
+        p.core_deq = _cached_dequant(ws, "deq." + p.key + ".core", p.core_grid,
+                                     p.core_scales)
+    u1 = p.u1_deq
+    if u1 is None:
+        u1 = _dequant_scratch(ws, p.u1_grid, p.u1_scales, "deq.u1")
+    core = p.core_deq
+    if core is None:
+        core = _dequant_scratch(ws, p.core_grid, p.core_scales, "deq.core")
     low = ws.buf(name + ".r1", x.shape[:-1] + (u1.shape[1],))
     np.matmul(x, u1, out=low)
     mid = ws.buf(name + ".r2", x.shape[:-1] + (core.shape[1],))
@@ -602,44 +624,25 @@ def _embed(state: FastState, ids: np.ndarray, region: _Region) -> np.ndarray:
     return out
 
 
-def _rope_apply(state: FastState, x: np.ndarray, offset, name: str) -> np.ndarray:
-    # Mirrors RotaryEmbedding.apply: same table views/gathers, and the
-    # rotation as mul/mul/sub + mul/mul/add (a - b == a + (-b) bitwise).
-    rope = state.rope
-    if rope is None:
-        return x
+def _rope_table(rope, offset: int, seq_len: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Views of the cos/sin rows for one shared offset (dense path)."""
+    offset = int(offset)
+    if offset < 0 or offset + seq_len > rope.max_seq_len:
+        raise ShapeError(
+            f"positions [{offset}, {offset + seq_len}) exceed RoPE table "
+            f"{rope.max_seq_len}"
+        )
+    cos = rope._cos[offset : offset + seq_len][None, None, :, :]
+    sin = rope._sin[offset : offset + seq_len][None, None, :, :]
+    return cos, sin
+
+
+def _rope_apply(state: FastState, x: np.ndarray, cos: np.ndarray,
+                sin: np.ndarray, name: str) -> np.ndarray:
+    # Mirrors RotaryEmbedding.apply: same table values, and the rotation
+    # as mul/mul/sub + mul/mul/add (a - b == a + (-b) bitwise).
     ws = state.ws
-    batch, _, seq_len, dim = x.shape
-    half = dim // 2
-    if np.ndim(offset) == 0:
-        offset = int(offset)
-        if offset < 0 or offset + seq_len > rope.max_seq_len:
-            raise ShapeError(
-                f"positions [{offset}, {offset + seq_len}) exceed RoPE table "
-                f"{rope.max_seq_len}"
-            )
-        cos = rope._cos[offset : offset + seq_len][None, None, :, :]
-        sin = rope._sin[offset : offset + seq_len][None, None, :, :]
-    else:
-        offsets = np.asarray(offset, dtype=np.int64)
-        if offsets.shape != (batch,):
-            raise ShapeError(
-                f"per-row offsets must have shape ({batch},), got {offsets.shape}"
-            )
-        if np.any(offsets < 0) or np.any(offsets >= rope.max_seq_len):
-            raise ShapeError(
-                f"row offsets {offsets} exceed RoPE table {rope.max_seq_len}"
-            )
-        positions = offsets[:, None] + np.arange(seq_len, dtype=np.int64)[None, :]
-        # Clamps padded tail slots only: run_model has already rejected
-        # rows whose real tokens pass the table.
-        np.minimum(positions, rope.max_seq_len - 1, out=positions)
-        cos = ws.buf("rope.cos", (batch, seq_len, half))
-        sin = ws.buf("rope.sin", (batch, seq_len, half))
-        np.take(rope._cos, positions, axis=0, out=cos)
-        np.take(rope._sin, positions, axis=0, out=sin)
-        cos = cos[:, None, :, :]
-        sin = sin[:, None, :, :]
+    half = x.shape[-1] // 2
     out = ws.buf(name, x.shape)
     scratch = ws.buf("rope.tmp", x.shape[:-1] + (half,))
     x1 = x[..., :half]
@@ -722,8 +725,10 @@ def _attention_dense(state: FastState, layer: int, x: np.ndarray,
     kh = _split_heads(k, batch, seq_len, state.n_kv_heads, head_dim)
     vh = _split_heads(v, batch, seq_len, state.n_kv_heads, head_dim)
     region.start()
-    qh = _rope_apply(state, qh, offset, "q.rot")
-    kh = _rope_apply(state, kh, offset, "k.rot")
+    if state.rope is not None:
+        cos, sin = _rope_table(state.rope, offset, seq_len)
+        qh = _rope_apply(state, qh, cos, sin, "q.rot")
+        kh = _rope_apply(state, kh, cos, sin, "k.rot")
     region.stop(f"layer{layer}.attn.rope")
     if cache is not None:
         region.start()
@@ -753,70 +758,164 @@ def _attention_dense(state: FastState, layer: int, x: np.ndarray,
     return _finish_attention(state, layer, scores, values, batch, seq_len, region)
 
 
-def _stage_kv(state: FastState, layer: int, ragged, kh: np.ndarray,
-              vh: np.ndarray, offsets: np.ndarray, totals: np.ndarray,
-              width: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Write each row's new K/V to its cache and to the layer's staging rows.
+class _RaggedPlan:
+    """What one ragged forward shares across its layers, built once.
 
-    Staging row ``b`` mirrors row ``b``'s cache history (its KV heads; the
-    matmuls broadcast each over its query heads).  A row is a *hit* when
-    its record names the cache's epoch and current length: the cache has
-    only grown by what this call writes, so the row takes the new tokens
-    and nothing else.  Any other row re-reads its whole history once
-    (``append``) straight into the staging row.  Rows are keyed by
-    position in the call, so a reordered batch simply misses.  Every
-    staged value is a copy of the cache's, so the matmuls read the bytes
-    a per-step gather would produce.
+    Row offsets, lengths and totals; the RoPE cos/sin rows of every row;
+    the causal-and-length mask; and each row's cache destinations,
+    resolved (and checked) through the sequence's ``kv_slots`` before any
+    layer is written.  New tokens are laid out group by group — one group
+    per backing store — so ``new k/v[lo:hi]`` is a group's scatter source.
     """
-    ws = state.ws
-    batch = len(ragged)
-    stage = ws.stage(f"kv{layer}", batch, state.n_kv_heads, width, state.head_dim)
-    records = stage.records
-    hits = []
-    for row, cache in enumerate(ragged.caches):
-        offset = int(offsets[row])
-        total = int(totals[row])
-        new_k = kh[row : row + 1, :, : total - offset]
-        new_v = vh[row : row + 1, :, : total - offset]
-        epoch = cache.epoch
-        if records[row] == (epoch, offset):
-            cache.write(new_k, new_v)
-            hits.append(row)
-            continue
-        keys, values = cache.append(new_k, new_v)
-        stage.keys[row, :, :total] = keys[0]
-        stage.values[row, :, :total] = values[0]
-        records[row] = (epoch, total)
-    ws.stage_misses += batch - len(hits)
-    if hits:
-        ws.stage_hits += len(hits)
-        rows = np.asarray(hits, dtype=np.intp)
-        counts = totals[rows] - offsets[rows]
-        # One (row, token) pair per new position of every hit row.
-        row_of = np.repeat(rows, counts)
-        token = np.arange(row_of.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        position = offsets[row_of] + token
-        stage.keys[row_of, :, position] = kh[row_of, :, token]
-        stage.values[row_of, :, position] = vh[row_of, :, token]
-        for row in hits:
-            records[row] = (ragged.caches[row].epoch, int(totals[row]))
-    return stage.keys[:batch, :, :width], stage.values[:batch, :, :width]
+
+    __slots__ = ("batch", "max_new", "offsets", "counts", "width", "cos",
+                 "sin", "invalid", "rows", "tokens", "positions", "writes",
+                 "afters", "wanted", "staged")
 
 
-def _attention_ragged(state: FastState, layer: int, x: np.ndarray,
-                      ragged, region: _Region) -> np.ndarray:
+def _plan_ragged(state: FastState, caches, batch: int, max_new: int) -> _RaggedPlan:
     if not state.causal:
         raise ShapeError("ragged cached attention requires a causal decoder")
-    ws = state.ws
-    batch, max_new, _ = x.shape
-    if len(ragged) != batch:
+    first = caches.layers[0]
+    if len(first) != batch:
         raise ShapeError(
-            f"ragged batch mismatch: {batch} rows, {len(ragged)} caches"
+            f"ragged batch mismatch: {batch} rows, {len(first)} caches"
         )
-    lengths = ragged.new_lengths
+    lengths = first.new_lengths
     if np.any(lengths < 1) or np.any(lengths > max_new):
         raise ShapeError(f"row lengths {lengths} out of range [1, {max_new}]")
-    offsets = ragged.offsets
+    offsets = first.offsets
+    totals = offsets + lengths
+    plan = _RaggedPlan()
+    plan.batch, plan.max_new = batch, max_new
+    plan.offsets = offsets
+    plan.counts = counts = lengths.tolist()
+    # pad_to floors the padded width so a pipeline's row-microbatches
+    # reduce over exactly the widths the full-batch pass would.
+    plan.width = max(int(totals.max()), first.pad_to)
+
+    plan.cos = plan.sin = None
+    rope = state.rope
+    if rope is not None:
+        if np.any(offsets < 0) or np.any(offsets >= rope.max_seq_len):
+            raise ShapeError(
+                f"row offsets {offsets} exceed RoPE table {rope.max_seq_len}"
+            )
+        positions = offsets[:, None] + np.arange(max_new, dtype=np.int64)[None, :]
+        # Clamps padded tail slots only: run_model has already rejected
+        # rows whose real tokens pass the table.
+        np.minimum(positions, rope.max_seq_len - 1, out=positions)
+        half = state.head_dim // 2
+        cos = state.ws.buf("rope.cos", (batch, max_new, half))
+        sin = state.ws.buf("rope.sin", (batch, max_new, half))
+        np.take(rope._cos, positions, axis=0, out=cos)
+        np.take(rope._sin, positions, axis=0, out=sin)
+        plan.cos, plan.sin = cos[:, None], sin[:, None]
+
+    key_pos = np.arange(plan.width, dtype=np.int64)[None, None, :]
+    query_pos = (
+        offsets[:, None, None] + np.arange(max_new, dtype=np.int64)[None, :, None]
+    )
+    invalid = (key_pos > query_pos) | (key_pos >= totals[:, None, None])
+    plan.invalid = invalid[:, None, :, :]
+
+    targets = [
+        sequence.kv_slots(count, state.n_kv_heads, state.head_dim)
+        for sequence, count in zip(caches.sequences, counts)
+    ]
+    groups = {}
+    for row, target in enumerate(targets):
+        groups.setdefault(target.store, []).append(row)
+    order = np.asarray([row for members in groups.values() for row in members],
+                       dtype=np.intp)
+    ordered = lengths[order]
+    plan.rows = np.repeat(order, ordered)
+    plan.tokens = (np.arange(plan.rows.size)
+                   - np.repeat(np.cumsum(ordered) - ordered, ordered))
+    plan.positions = offsets[plan.rows] + plan.tokens
+    plan.writes = []
+    lo = 0
+    for members in groups.values():
+        hi = lo + sum(counts[row] for row in members)
+        head = targets[members[0]]
+        blocks = np.asarray([b for row in members for b in targets[row].blocks],
+                            dtype=np.intp)
+        slots = np.asarray([s for row in members for s in targets[row].slots],
+                           dtype=np.intp)
+        plan.writes.append((head.keys, head.values, blocks, slots, lo, hi))
+        lo = hi
+    plan.afters = [target.after for target in targets if target.after is not None]
+
+    starts, ends = offsets.tolist(), totals.tolist()
+    plan.wanted, plan.staged = [], []
+    for ragged in caches.layers:
+        epochs = [cache.epoch for cache in ragged.caches]
+        plan.wanted.append(list(zip(epochs, starts)))
+        plan.staged.append(list(zip(epochs, ends)))
+    return plan
+
+
+def _stage_kv(state: FastState, layer: int, plan: _RaggedPlan, ragged,
+              kh: np.ndarray, vh: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Write the batch's new K/V to its caches and to the staging slots.
+
+    Every cache gets its new positions through the plan's destinations:
+    one fancy-index scatter per backing store.  Staging slot ``b`` must
+    mirror row ``b``'s cache history (its KV heads; the matmuls broadcast
+    each over its query heads).  Slots are found by cache epoch: a row
+    whose epoch sits in slot ``b`` at the row's offset is a hit; one found
+    in another slot (rows shift up when a request finishes) moves its
+    staged history over, in one copy for all such rows; any other row
+    re-reads its history once through its cache's ``read``.  Every staged
+    value is a copy of the cache's, so the matmuls read the bytes a
+    per-step gather would produce.
+    """
+    ws = state.ws
+    batch = plan.batch
+    stage = ws.stage(state.stage_names[layer], batch, state.n_kv_heads,
+                     plan.width, state.head_dim)
+    new_k = kh[plan.rows, :, plan.tokens]
+    new_v = vh[plan.rows, :, plan.tokens]
+    for keys, values, blocks, slots, lo, hi in plan.writes:
+        keys[layer][blocks, :, slots] = new_k[lo:hi]
+        values[layer][blocks, :, slots] = new_v[lo:hi]
+    wanted = plan.wanted[layer]
+    misses = 0
+    if stage.records[:batch] != wanted:
+        sources = stage.lookup(wanted)
+        moved = [row for row, slot in enumerate(sources)
+                 if slot is not None and slot != row]
+        if moved:
+            dst = np.asarray(moved, dtype=np.intp)
+            src = np.asarray([sources[row] for row in moved], dtype=np.intp)
+            width = int(plan.offsets[dst].max())
+            # Fancy-indexed sources are copied out before any slot is
+            # written, so rows trading places read each other's old data.
+            stage.keys[dst, :, :width] = stage.keys[src, :, :width]
+            stage.values[dst, :, :width] = stage.values[src, :, :width]
+        for row, slot in enumerate(sources):
+            if slot is not None:
+                continue
+            misses += 1
+            offset = int(plan.offsets[row])
+            if offset:
+                history_k, history_v = ragged.caches[row].read()
+                stage.keys[row, :, :offset] = history_k[0]
+                stage.values[row, :, :offset] = history_v[0]
+    ws.stage_misses += misses
+    ws.stage_hits += batch - misses
+    stage.keys[plan.rows, :, plan.positions] = new_k
+    stage.values[plan.rows, :, plan.positions] = new_v
+    stage.records[:batch] = plan.staged[layer]
+    for cache, count in zip(ragged.caches, plan.counts):
+        cache.advance(count)
+    return stage.keys[:batch, :, :plan.width], stage.values[:batch, :, :plan.width]
+
+
+def _attention_ragged(state: FastState, layer: int, x: np.ndarray, ragged,
+                      plan: _RaggedPlan, region: _Region) -> np.ndarray:
+    ws = state.ws
+    batch, max_new = plan.batch, plan.max_new
     head_dim = state.head_dim
     q = _project(state, layer, "w_q", x, "q", region)
     k = _project(state, layer, "w_k", x, "k", region)
@@ -825,33 +924,24 @@ def _attention_ragged(state: FastState, layer: int, x: np.ndarray,
     kh = _split_heads(k, batch, max_new, state.n_kv_heads, head_dim)
     vh = _split_heads(v, batch, max_new, state.n_kv_heads, head_dim)
     region.start()
-    qh = _rope_apply(state, qh, offsets, "q.rot")
-    kh = _rope_apply(state, kh, offsets, "k.rot")
+    if plan.cos is not None:
+        qh = _rope_apply(state, qh, plan.cos, plan.sin, "q.rot")
+        kh = _rope_apply(state, kh, plan.cos, plan.sin, "k.rot")
     region.stop(f"layer{layer}.attn.rope")
-    totals = offsets + lengths
-    # pad_to floors the padded width so a pipeline's row-microbatches
-    # reduce over exactly the widths the full-batch pass would.
-    max_total = max(int(totals.max()), getattr(ragged, "pad_to", 0))
     # Staging positions past a row's total hold zeros or stale finite
     # values: those key positions are masked, their softmax weight
     # underflows to exactly 0.0, and 0.0 * finite == 0.0 bit for bit.
     region.start()
-    keys, values = _stage_kv(state, layer, ragged, kh, vh, offsets, totals,
-                             max_total)
+    keys, values = _stage_kv(state, layer, plan, ragged, kh, vh)
     region.stop(f"layer{layer}.attn.cache")
-    scores = ws.seq_buf("scores", (batch, state.n_q_heads, max_new, max_total),
+    scores = ws.seq_buf("scores", (batch, state.n_q_heads, max_new, plan.width),
                         axis=3)
     region.start()
     _per_kv_head(qh, keys.transpose(0, 1, 3, 2), state.kv_runs, scores)
     np.multiply(scores, state.scale, out=scores)
     region.stop(f"layer{layer}.attn.qk")
     region.start()
-    key_pos = np.arange(max_total, dtype=np.int64)[None, None, :]
-    query_pos = (
-        offsets[:, None, None] + np.arange(max_new, dtype=np.int64)[None, :, None]
-    )
-    invalid = (key_pos > query_pos) | (key_pos >= totals[:, None, None])
-    np.copyto(scores, _NEG_INF32, where=invalid[:, None, :, :])
+    np.copyto(scores, _NEG_INF32, where=plan.invalid)
     _softmax_inplace(state, scores)
     region.stop(f"layer{layer}.attn.softmax")
     return _finish_attention(state, layer, scores, values, batch, max_new, region)
@@ -878,15 +968,13 @@ def _swiglu_mlp(state: FastState, layer: int, x: np.ndarray,
 
 
 def _run_layer(state: FastState, layer: int, x: np.ndarray, pad_mask, cache,
-               region: _Region) -> np.ndarray:
-    from repro.nn.kv_cache import RaggedLayerCaches
-
+               plan: Optional[_RaggedPlan], region: _Region) -> np.ndarray:
     lay = state.layers[layer]
     region.start()
     normed = _rms_norm(state, x, lay.attn_norm, lay.attn_eps)
     region.stop(f"layer{layer}.attn_norm")
-    if isinstance(cache, RaggedLayerCaches):
-        attn_out = _attention_ragged(state, layer, normed, cache, region)
+    if plan is not None:
+        attn_out = _attention_ragged(state, layer, normed, cache, plan, region)
     else:
         attn_out = _attention_dense(state, layer, normed, pad_mask, cache, region)
     ws = state.ws
@@ -975,14 +1063,24 @@ def run_model_fast(state: FastState, tokens: np.ndarray, pad_mask=None,
     returns a fresh copy of the hidden output (the internal layer buffer
     is workspace-owned and reused on the next call, so it must not escape).
     """
+    from repro.nn.kv_cache import RaggedModelCaches
+
     region = _Region(state.ctx.__dict__.get("_fast_profiler"), state.ws)
     if hidden is not None:
         x = np.asarray(hidden, dtype=np.float32)
     else:
         x = _embed(state, tokens, region)
+    plan = None
+    if isinstance(caches, RaggedModelCaches):
+        region.start()
+        plan = _plan_ragged(state, caches, x.shape[0], x.shape[1])
+        region.stop("ragged.plan")
     for layer in range(state.n_layers):
         cache = None if caches is None else caches.layers[layer]
-        x = _run_layer(state, layer, x, pad_mask, cache, region)
+        x = _run_layer(state, layer, x, pad_mask, cache, plan, region)
+    if plan is not None:
+        for after in plan.afters:
+            after()
     if state.head is None or skip_head:
         return x.copy()
     return _logits(state, x, region)

@@ -5,7 +5,7 @@ op executed by :func:`repro.runtime.fastpath.run_model_fast`.  Op names
 follow the layer program's :class:`~repro.runtime.program.OpSpec` naming
 (``layer{i}.w_q``, ``layer{i}.attn.qk``, ``embed``, ``lm_head``, ...) plus
 a few fast-path-only bookkeeping regions (``layer{i}.attn.rope``,
-``.cache``, ``.expand``, ``.merge``, ``layer{i}.residual``).
+``.cache``, ``.merge``, ``layer{i}.residual``).
 
 ``bytes`` counts *workspace allocations* made while the op ran — after the
 first few calls warm the arena this column goes to zero, which is exactly

@@ -27,9 +27,11 @@ budget is what keeps the dequant footprint a tunable scratch cost rather
 than an unconditional fp32 copy of every quantized weight.
 
 Ragged attention keeps each layer's K/V history in a persistent
-:meth:`Workspace.stage` pair (a :class:`KVStage`): one staging row per
-batch row, recording which cache epoch and how many positions it mirrors,
-so a decode step copies only its new token instead of the whole history.
+:meth:`Workspace.stage` pair (a :class:`KVStage`): staging slots keyed by
+cache epoch, each recording how many positions of that cache it mirrors,
+so a decode step copies only its new token instead of the whole history,
+and a row that moved batch position copies its slot over instead of
+re-reading its cache.
 
 ``allocations`` / ``bytes_allocated`` count *backing-array* creations
 only.  They are the regression surface for the zero-allocation-per-step
@@ -60,12 +62,14 @@ def _grow(capacity: int, needed: int) -> int:
 
 
 class KVStage:
-    """K/V staging rows of one attention layer.
+    """K/V staging slots of one attention layer.
 
     ``keys`` / ``values`` are zero-initialized ``(rows, heads, width,
-    head_dim)`` capacity buffers.  ``records[b]`` is ``(epoch, length)``
-    when row ``b`` holds the first ``length`` positions of the cache whose
-    epoch is ``epoch`` (see :mod:`repro.nn.kv_cache`), else None.
+    head_dim)`` capacity buffers.  ``records[s]`` is ``(epoch, length)``
+    when slot ``s`` holds the first ``length`` positions of the cache whose
+    epoch is ``epoch`` (see :mod:`repro.nn.kv_cache`), else None.  Slots
+    are keyed by the epoch object itself, and one epoch occupies at most
+    one slot.
     """
 
     __slots__ = ("keys", "values", "records")
@@ -74,6 +78,29 @@ class KVStage:
         self.keys = keys
         self.values = values
         self.records: List[Optional[Tuple[object, int]]] = records
+
+    def lookup(self, wanted: List[Tuple[object, int]]) -> List[Optional[int]]:
+        """The slot holding each wanted ``(epoch, length)``, else None.
+
+        Every record naming a wanted epoch is cleared — found or stale —
+        so once the caller restages the wanted rows into slots
+        ``[0, len(wanted))`` each epoch again occupies one slot at most.
+        Slot contents are untouched: the caller copies found slots before
+        writing any.
+        """
+        records = self.records
+        where = {record[0]: slot for slot, record in enumerate(records)
+                 if record is not None}
+        found: List[Optional[int]] = []
+        for epoch, length in wanted:
+            slot = where.get(epoch)
+            if slot is not None:
+                stale = records[slot][1] != length
+                records[slot] = None
+                if stale:
+                    slot = None
+            found.append(slot)
+        return found
 
 
 class Workspace:
@@ -94,8 +121,9 @@ class Workspace:
         self.cache_bytes = 0
         self.allocations = 0
         self.bytes_allocated = 0
-        # Ragged rows whose staging row was current (copied only new
-        # tokens) vs rows that re-read their cache history.
+        # Ragged rows whose cache was found staged (copied only new
+        # tokens, after a slot move if it changed batch position) vs rows
+        # that re-read their cache history.
         self.stage_hits = 0
         self.stage_misses = 0
 
@@ -198,12 +226,12 @@ class Workspace:
         head_dim: int,
         dtype=np.float32,
     ) -> KVStage:
-        """The staging pair under ``name``, holding at least ``rows`` rows
+        """The staging pair under ``name``, holding at least ``rows`` slots
         of ``width`` positions.
 
         Both capacities double from use — never from a model's maximum
-        sequence length — and a grow copies the old rows and records over,
-        so staged history survives it.  Grown regions start as exact
+        sequence length — and a grow copies the old slots and records
+        over, so staged history survives it.  Grown regions start as exact
         0.0f; as with :meth:`seq_buf`, positions past a row's valid length
         hold stale finite values that callers must mask.
         """

@@ -33,7 +33,7 @@ and absolute positions (RoPE included), so serving from shared pages is
 bit-identical to re-prefilling — the engine's token-for-token identity
 contract against the unshared pool holds on every trace.
 
-``PagedSequenceCache`` satisfies the same ``seq_len`` / ``append`` /
+``PagedSequenceCache`` satisfies the same ``seq_len`` / ``kv_slots`` /
 ``reserve`` / ``truncate`` / ``free`` contract as
 :class:`~repro.serving.pool.PooledSequenceCache`, so the engine, the
 ragged runtime caches in :mod:`repro.nn.kv_cache`, and the attention
@@ -48,8 +48,10 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import PoolExhaustedError, ServingError, ShapeError
+from repro.errors import PoolExhaustedError, ServingError
 from repro.models.config import ModelConfig
+from repro.nn.kv_cache import KVSlots, uniform_length
+from repro.serving.pool import PooledLayerCache, block_slots
 
 
 class _RadixNode:
@@ -368,128 +370,19 @@ class PagedKVStore:
         self.values[:, dst, :, :slots] = self.values[:, src, :, :slots]
 
 
-class PagedLayerCache:
+class PagedLayerCache(PooledLayerCache):
     """One layer's slots of one sequence, backed by shared store pages.
 
-    Same ``seq_len`` / ``epoch`` / ``write`` / ``append -> (keys, values)``
-    / ``truncate`` contract as :class:`~repro.serving.pool.PooledLayerCache`;
-    the only behavioural difference is the write guard — appending into a
-    sealed or shared page is a COW violation and raises instead of
-    corrupting a neighbour.
+    Same ``seq_len`` / ``epoch`` / ``write`` / ``read`` / ``append`` /
+    ``truncate`` contract as :class:`~repro.serving.pool.PooledLayerCache`;
+    the only behavioural difference lives in the sequence's write checks —
+    appending into a sealed or shared page is a COW violation and raises
+    instead of corrupting a neighbour.  The epoch is renewed on creation
+    and on every ``truncate``; a COW fork or unseal only happens inside a
+    truncate, and a dedup swap replaces a page with a bit-identical one,
+    so while the epoch holds the first ``seq_len`` positions read back
+    unchanged.
     """
-
-    def __init__(self, sequence: "PagedSequenceCache", layer: int, length: int) -> None:
-        self._sequence = sequence
-        self._layer = layer
-        self._len = length
-        self._epoch = object()
-
-    @property
-    def seq_len(self) -> int:
-        return self._len
-
-    @property
-    def epoch(self) -> object:
-        """Token renewed on creation and on every :meth:`truncate`.
-
-        A COW fork or unseal only happens inside a truncate, and a dedup
-        swap replaces a page with a bit-identical one, so while the epoch
-        holds the first ``seq_len`` positions read back unchanged.
-        """
-        return self._epoch
-
-    def truncate(self, length: int) -> None:
-        """Roll this layer back; page bookkeeping lives on the sequence.
-        Renews the epoch."""
-        length = int(length)
-        if length < 0:
-            raise ShapeError(f"cannot truncate to negative length {length}")
-        if length > self._len:
-            raise ShapeError(
-                f"cannot truncate to {length}: cache holds {self._len} positions"
-            )
-        self._len = length
-        self._epoch = object()
-
-    def write(self, keys: np.ndarray, values: np.ndarray) -> None:
-        """Write new (1, H, T, Dh) positions into private pages (sealing
-        any page this completes) without reading history back."""
-        sequence = self._sequence
-        store = sequence.store
-        keys = np.asarray(keys)
-        values = np.asarray(values)
-        if keys.ndim != 4 or values.shape != keys.shape:
-            raise ShapeError(
-                f"cache entries must be matching (B, H, T, Dh); got "
-                f"{keys.shape} / {values.shape}"
-            )
-        batch, heads, new_tokens, head_dim = keys.shape
-        if batch != 1 or heads != store.kv_heads or head_dim != store.head_dim:
-            raise ShapeError(
-                f"paged cache expects (1, {store.kv_heads}, T, {store.head_dim}); "
-                f"got {keys.shape}"
-            )
-        if sequence.closed:
-            raise ServingError("cannot append to a freed sequence cache")
-        if self._len + new_tokens > sequence.capacity:
-            raise PoolExhaustedError(
-                f"append of {new_tokens} exceeds reserved capacity "
-                f"{sequence.capacity} (len {self._len}); call reserve() first"
-            )
-        page_size = store.block_tokens
-        written = 0
-        while written < new_tokens:
-            position = self._len + written
-            page = sequence.block_table[position // page_size]
-            self._check_writable(page)
-            slot = position % page_size
-            take = min(page_size - slot, new_tokens - written)
-            store.keys[self._layer, page, :, slot : slot + take] = keys[
-                0, :, written : written + take
-            ]
-            store.values[self._layer, page, :, slot : slot + take] = values[
-                0, :, written : written + take
-            ]
-            written += take
-        self._len += new_tokens
-        if self._len // page_size > sequence._sealed_pages:
-            sequence._maybe_seal()  # this write may complete a page
-
-    def append(self, keys: np.ndarray, values: np.ndarray) -> tuple:
-        """:meth:`write`, then contiguous copies of the full history."""
-        self.write(keys, values)
-        return self._gather()
-
-    def _check_writable(self, page: int) -> None:
-        store = self._sequence.store
-        if store.is_sealed(page):
-            raise ServingError(
-                f"COW violation: write into sealed page {page} "
-                "(rollback must fork before the next append)"
-            )
-        if store.ref(page) != 1:
-            raise ServingError(
-                f"COW violation: write into page {page} with refcount "
-                f"{store.ref(page)}"
-            )
-
-    def _gather(self) -> tuple:
-        """Contiguous (1, H, seq_len, Dh) copies of the paged history."""
-        sequence = self._sequence
-        store = sequence.store
-        total = self._len
-        out_keys = np.empty((1, store.kv_heads, total, store.head_dim), dtype=store.dtype)
-        out_values = np.empty_like(out_keys)
-        page_size = store.block_tokens
-        for index in range(store.blocks_for_tokens(total)):
-            page = sequence.block_table[index]
-            start = index * page_size
-            take = min(page_size, total - start)
-            out_keys[0, :, start : start + take] = store.keys[self._layer, page, :, :take]
-            out_values[0, :, start : start + take] = store.values[
-                self._layer, page, :, :take
-            ]
-        return out_keys, out_values
 
 
 class PagedSequenceCache:
@@ -520,7 +413,7 @@ class PagedSequenceCache:
         self._sealed_pages = len(self.block_table)
         self._seal_frozen = False
         self.layers: List[PagedLayerCache] = [
-            PagedLayerCache(self, layer, shared)
+            PagedLayerCache(self, store, layer, shared)
             for layer in range(store.n_layers)
         ]
 
@@ -538,6 +431,39 @@ class PagedSequenceCache:
 
     def __len__(self) -> int:
         return len(self.layers)
+
+    def kv_slots(self, new_tokens: int, heads: int, head_dim: int) -> KVSlots:
+        """Where the next ``new_tokens`` positions live in every layer.
+
+        Capacity, copy-on-write and freed-sequence checks run here, once,
+        before anything is written; ``after`` seals the pages the write
+        completes.
+        """
+        return self._slots(uniform_length(self.layers), (1, heads, new_tokens, head_dim))
+
+    def _slots(self, start: int, shape: tuple) -> KVSlots:
+        store = self.store
+        pages, slots = block_slots(self, store, "paged", start, shape)
+        for page in set(pages):
+            self._check_writable(page)
+        page_size = store.block_tokens
+        end = start + shape[2]
+        # Sealing only matters when the write can complete a page.
+        after = self._maybe_seal if end // page_size > self._sealed_pages else None
+        return KVSlots(store, store.keys, store.values, pages, slots, after)
+
+    def _check_writable(self, page: int) -> None:
+        store = self.store
+        if store.is_sealed(page):
+            raise ServingError(
+                f"COW violation: write into sealed page {page} "
+                "(rollback must fork before the next append)"
+            )
+        if store.ref(page) != 1:
+            raise ServingError(
+                f"COW violation: write into page {page} with refcount "
+                f"{store.ref(page)}"
+            )
 
     def reserve(self, new_tokens: int) -> None:
         if self.closed:

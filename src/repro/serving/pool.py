@@ -13,9 +13,10 @@ is the NumPy analogue:
   model.
 - :class:`PooledSequenceCache` is a per-request view: an ordered block
   table plus per-layer write cursors.  Its layers satisfy the same
-  ``seq_len`` / ``append -> (keys, values)`` contract as
-  :class:`~repro.nn.kv_cache.LayerKVCache`, so attention code is oblivious
-  to the pooling.
+  ``seq_len`` / ``epoch`` / ``write`` / ``read`` / ``append`` contract as
+  :class:`~repro.nn.kv_cache.LayerKVCache`, and the sequence answers the
+  same ``kv_slots`` resolver as :class:`~repro.nn.kv_cache.ModelKVCache`,
+  so attention code is oblivious to the pooling.
 
 Capacity is *reserved* ahead of a forward pass (``reserve``) so admission
 control and preemption decisions happen in the scheduler, not mid-layer.
@@ -29,6 +30,7 @@ import numpy as np
 
 from repro.errors import PoolExhaustedError, ServingError, ShapeError
 from repro.models.config import ModelConfig
+from repro.nn.kv_cache import KVSlots, LayerLength, check_entries, uniform_length
 
 
 class KVBlockPool:
@@ -128,113 +130,82 @@ class KVBlockPool:
         return PooledSequenceCache(self)
 
 
-class PooledLayerCache:
-    """One layer's cache slots of one sequence, backed by pool blocks.
+def block_slots(sequence, store, kind: str, start: int, shape: tuple) -> tuple:
+    """``(blocks, slots)`` of a block-table sequence's positions
+    ``[start, start + T)`` for ``shape = (1, H, T, Dh)`` entries.
+
+    Raises before anything is written: ShapeError on entries the store
+    cannot hold, ServingError on a freed sequence, PoolExhaustedError past
+    the reserved capacity.
+    """
+    batch, heads, new_tokens, head_dim = shape
+    if batch != 1 or heads != store.kv_heads or head_dim != store.head_dim:
+        raise ShapeError(
+            f"{kind} cache expects (1, {store.kv_heads}, T, {store.head_dim}); "
+            f"got {shape}"
+        )
+    if sequence.closed:
+        raise ServingError("cannot append to a freed sequence cache")
+    if start + new_tokens > sequence.capacity:
+        raise PoolExhaustedError(
+            f"append of {new_tokens} exceeds reserved capacity "
+            f"{sequence.capacity} (len {start}); call reserve() first"
+        )
+    size = store.block_tokens
+    table = sequence.block_table
+    positions = range(start, start + new_tokens)
+    return [table[p // size] for p in positions], [p % size for p in positions]
+
+
+class PooledLayerCache(LayerLength):
+    """One layer's cache slots of one sequence, backed by store blocks.
 
     Satisfies the :class:`~repro.nn.kv_cache.LayerKVCache` contract used by
-    :class:`~repro.nn.attention.MultiHeadAttention`.
+    :class:`~repro.nn.attention.MultiHeadAttention`.  ``write`` resolves
+    its positions through the sequence's checks (the same ones
+    ``kv_slots`` runs) and scatters them into the store.
     """
 
-    def __init__(self, sequence: "PooledSequenceCache", layer: int) -> None:
+    def __init__(self, sequence, store, layer: int, length: int = 0) -> None:
+        super().__init__(length)
         self._sequence = sequence
+        self._store = store
         self._layer = layer
-        self._len = 0
-        self._epoch = object()
-
-    @property
-    def seq_len(self) -> int:
-        return self._len
-
-    @property
-    def epoch(self) -> object:
-        """Token renewed on creation and on every :meth:`truncate`; while
-        it holds, the cache has only grown since it was last read."""
-        return self._epoch
-
-    def truncate(self, length: int) -> None:
-        """Roll this layer back to ``length`` positions (draft rollback).
-
-        Per-layer lengths only; block bookkeeping lives on the sequence —
-        callers go through :meth:`PooledSequenceCache.truncate`, which also
-        returns surplus blocks to the pool.  Renews the epoch.
-        """
-        length = int(length)
-        if length < 0:
-            raise ShapeError(f"cannot truncate to negative length {length}")
-        if length > self._len:
-            raise ShapeError(
-                f"cannot truncate to {length}: cache holds {self._len} positions"
-            )
-        self._len = length
-        self._epoch = object()
 
     def write(self, keys: np.ndarray, values: np.ndarray) -> None:
         """Write new (1, H, T, Dh) positions into the reserved blocks
         without reading history back."""
-        sequence = self._sequence
-        pool = sequence.pool
-        keys = np.asarray(keys)
-        values = np.asarray(values)
-        if keys.ndim != 4 or values.shape != keys.shape:
-            raise ShapeError(
-                f"cache entries must be matching (B, H, T, Dh); got "
-                f"{keys.shape} / {values.shape}"
-            )
-        batch, heads, new_tokens, head_dim = keys.shape
-        if batch != 1 or heads != pool.kv_heads or head_dim != pool.head_dim:
-            raise ShapeError(
-                f"pooled cache expects (1, {pool.kv_heads}, T, {pool.head_dim}); "
-                f"got {keys.shape}"
-            )
-        if sequence.closed:
-            raise ServingError("cannot append to a freed sequence cache")
-        if self._len + new_tokens > sequence.capacity:
-            raise PoolExhaustedError(
-                f"append of {new_tokens} exceeds reserved capacity "
-                f"{sequence.capacity} (len {self._len}); call reserve() first"
-            )
-        block_size = pool.block_tokens
-        written = 0
-        while written < new_tokens:
-            position = self._len + written
-            block = sequence.block_table[position // block_size]
-            slot = position % block_size
-            take = min(block_size - slot, new_tokens - written)
-            pool.keys[self._layer, block, :, slot : slot + take] = keys[
-                0, :, written : written + take
-            ]
-            pool.values[self._layer, block, :, slot : slot + take] = values[
-                0, :, written : written + take
-            ]
-            written += take
-        self._len += new_tokens
+        keys, values = check_entries(keys, values)
+        target = self._sequence._slots(self._len, keys.shape)
+        layer = self._layer
+        target.keys[layer][target.blocks, :, target.slots] = keys[0].swapaxes(0, 1)
+        target.values[layer][target.blocks, :, target.slots] = values[0].swapaxes(0, 1)
+        self._len += keys.shape[2]
+        if target.after is not None:
+            target.after()
 
-    def append(self, keys: np.ndarray, values: np.ndarray) -> tuple:
-        """:meth:`write`, then contiguous copies of the full history."""
-        self.write(keys, values)
-        return self._gather()
-
-    def _gather(self) -> tuple:
+    def read(self) -> tuple:
         """Contiguous (1, H, seq_len, Dh) copies of the blocked history."""
-        sequence = self._sequence
-        pool = sequence.pool
+        store = self._store
+        table = self._sequence.block_table
         total = self._len
-        out_keys = np.empty(
-            (1, pool.kv_heads, total, pool.head_dim), dtype=pool.dtype
-        )
+        out_keys = np.empty((1, store.kv_heads, total, store.head_dim), dtype=store.dtype)
         out_values = np.empty_like(out_keys)
-        block_size = pool.block_tokens
-        for index in range(pool.blocks_for_tokens(total)):
-            block = sequence.block_table[index]
+        block_size = store.block_tokens
+        for index in range(store.blocks_for_tokens(total)):
+            block = table[index]
             start = index * block_size
             take = min(block_size, total - start)
-            out_keys[0, :, start : start + take] = pool.keys[
-                self._layer, block, :, :take
-            ]
-            out_values[0, :, start : start + take] = pool.values[
+            out_keys[0, :, start : start + take] = store.keys[self._layer, block, :, :take]
+            out_values[0, :, start : start + take] = store.values[
                 self._layer, block, :, :take
             ]
         return out_keys, out_values
+
+    def append(self, keys: np.ndarray, values: np.ndarray) -> tuple:
+        """:meth:`write`, then :meth:`read`."""
+        self.write(keys, values)
+        return self.read()
 
 
 class PooledSequenceCache:
@@ -250,7 +221,7 @@ class PooledSequenceCache:
         self.block_table: List[int] = []
         self.closed = False
         self.layers: List[PooledLayerCache] = [
-            PooledLayerCache(self, layer) for layer in range(pool.n_layers)
+            PooledLayerCache(self, pool, layer) for layer in range(pool.n_layers)
         ]
 
     @property
@@ -274,6 +245,16 @@ class PooledSequenceCache:
         The paged store (:mod:`repro.serving.paged`) keys its radix index
         on the noted ids; a private block pool has nothing to index.
         """
+
+    def kv_slots(self, new_tokens: int, heads: int, head_dim: int) -> KVSlots:
+        """Where the next ``new_tokens`` positions live in every layer
+        (capacity and freed-sequence checks run here, once)."""
+        return self._slots(uniform_length(self.layers), (1, heads, new_tokens, head_dim))
+
+    def _slots(self, start: int, shape: tuple) -> KVSlots:
+        pool = self.pool
+        blocks, slots = block_slots(self, pool, "pooled", start, shape)
+        return KVSlots(pool, pool.keys, pool.values, blocks, slots, None)
 
     def reserve(self, new_tokens: int) -> None:
         """Ensure capacity for ``new_tokens`` more positions.

@@ -368,7 +368,8 @@ class TestZeroAllocationDecode:
 
     @staticmethod
     def _warm_ragged_loop(flavour: str, rows: int = 2):
-        """A dense tiny model and a ``step()`` decoding ``rows`` stable rows."""
+        """A dense tiny model and a ``step(live)`` decoding the ``live`` rows
+        (default: all ``rows``) in the given order."""
         from repro.serving.paged import PagedKVStore
 
         model = build_tiny("dense")
@@ -378,14 +379,17 @@ class TestZeroAllocationDecode:
             store = PagedKVStore(model.config, n_blocks=64, block_tokens=8)
             caches = [store.acquire_sequence() for _ in range(rows)]
         step_ids = tokens_for(model.config, rows, 1)
-        lengths = np.ones(rows, dtype=np.int64)
 
-        def step():
+        def step(live=range(rows)):
+            live = list(live)
             if flavour == "paged":
-                for cache, ids in zip(caches, step_ids):
-                    cache.reserve(1)
-                    cache.note_tokens(ids)
-            model.runtime.forward_ragged(step_ids, caches, lengths)
+                for row in live:
+                    caches[row].reserve(1)
+                    caches[row].note_tokens(step_ids[row])
+            model.runtime.forward_ragged(
+                step_ids[live], [caches[row] for row in live],
+                np.ones(len(live), dtype=np.int64),
+            )
 
         return model, caches, step
 
@@ -407,27 +411,50 @@ class TestZeroAllocationDecode:
     def test_ragged_steady_state_allocates_nothing_paged(self):
         self._assert_steady_state_allocates_nothing("paged")
 
+    @staticmethod
+    def _count_history_reads(caches, monkeypatch) -> list:
+        """Record every cache whose history is read back (the ``read`` seam
+        that ``append`` and the staging misses go through)."""
+        layer_type = type(caches[0].layers[0])
+        reads = []
+        original = layer_type.read
+
+        def counting_read(self):
+            reads.append(self)
+            return original(self)
+
+        monkeypatch.setattr(layer_type, "read", counting_read)
+        return reads
+
     @pytest.mark.parametrize("flavour", ("growable", "paged"))
     def test_warm_ragged_decode_reads_no_history(self, flavour, monkeypatch):
         """Stable rows write only their new token: nothing reads a cache's
-        history back (``append`` is ``write`` plus that read)."""
+        history back."""
         model, caches, step = self._warm_ragged_loop(flavour, rows=3)
         for _ in range(4):
             step()
-        layer_type = type(caches[0].layers[0])
-        reads = []
-        original = layer_type.append
-
-        def counting_append(self, keys, values):
-            reads.append(self)
-            return original(self, keys, values)
-
-        monkeypatch.setattr(layer_type, "append", counting_append)
+        reads = self._count_history_reads(caches, monkeypatch)
         hits = model.runtime.workspace.stage_hits
         for _ in range(10):
             step()
         assert reads == []
         assert model.runtime.workspace.stage_hits - hits == 10 * 3 * TINY.n_layers
+
+    @pytest.mark.parametrize("flavour", ("growable", "paged"))
+    def test_rows_shifted_by_a_finish_read_no_history(self, flavour, monkeypatch):
+        """A middle row finishes and the rows after it shift up one batch
+        position: their staged histories move slot to slot, and no cache
+        history is read back."""
+        model, caches, step = self._warm_ragged_loop(flavour, rows=4)
+        for _ in range(4):
+            step()
+        reads = self._count_history_reads(caches, monkeypatch)
+        misses = model.runtime.workspace.stage_misses
+        for _ in range(3):
+            step([0, 2, 3])
+        step([3, 0, 2])
+        assert reads == []
+        assert model.runtime.workspace.stage_misses == misses
 
 
 class TestFastPathErrors:
@@ -475,6 +502,24 @@ class TestFastPathErrors:
         finally:
             if path == "sharded":
                 runner.close()
+
+    @pytest.mark.parametrize("path", ("fast", "tensor"))
+    def test_ragged_batch_listing_a_sequence_twice_is_rejected(self, path):
+        """Two rows on one cache would both write its next position; the
+        batch is refused before any layer is written."""
+        from contextlib import nullcontext
+
+        from repro.models import get_config
+
+        config = get_config("tiny-llama")
+        model = build_model(config, rng=np.random.default_rng(0))
+        model.eval()
+        cache = model.make_cache()
+        model.forward_cached(np.array([[1, 2, 3]]), cache)
+        with fastpath.disabled() if path == "tensor" else nullcontext():
+            with pytest.raises(ShapeError, match="twice"):
+                model.forward_ragged(np.array([[4], [5]]), [cache, cache], [1, 1])
+        assert [layer.seq_len for layer in cache.layers] == [3] * config.n_layers
 
     def test_rope_overflow_error_survives_fast_path(self):
         model = build_tiny("dense")

@@ -125,7 +125,7 @@ class TestSharing:
         second = store.acquire_sequence(tokens)
         assert second.seq_len == 8
         np.testing.assert_array_equal(
-            second.layers[0]._gather()[0], kv_for(store, tokens[:8])
+            second.layers[0].read()[0], kv_for(store, tokens[:8])
         )
 
 
