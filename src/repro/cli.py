@@ -20,8 +20,9 @@ Commands
   ``--pp P`` stacks pipeline parallelism on top — layers split into P
   stages on a P x N device grid, with measured vs analytic P2P traffic
   reported per channel;
-  ``--no-prefix-sharing`` serves from per-request pools instead of the
-  paged KV store; ``--verify-identity`` re-replays on the unshared
+  ``--no-prefix-sharing`` serves from the paged store with no prefix
+  lookup or sealing, so every request prefills its whole prompt into
+  private pages; ``--verify-identity`` re-replays on the unshared
   engine and fails on any token mismatch; ``--run-dir``/``--run-name``
   persist the run as manifest.json / metrics.jsonl / summary.json /
   report.md (bit-identically replayable); ``--json`` dumps the full
@@ -722,8 +723,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--no-prefix-sharing",
         action="store_true",
-        help="serve from per-request block pools instead of the paged "
-             "prefix-sharing KV store",
+        help="serve from the paged store with no prefix lookup or sealing: "
+             "every request prefills its whole prompt into private pages",
     )
     serve.add_argument(
         "--verify-identity",

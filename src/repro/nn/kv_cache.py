@@ -11,8 +11,8 @@ returns zero-copy *views* of the valid prefix.  (The original implementation
 re-``np.concatenate``-d the whole history every token — O(T^2) over a
 generation.)
 
-Every layer-cache flavour (this one, the block-pool and paged caches in
-:mod:`repro.serving`) shares one contract: ``write`` appends new
+Every layer-cache flavour (this one and the paged cache in
+:mod:`repro.serving.paged`) shares one contract: ``write`` appends new
 positions without reading the history back, ``read`` returns the whole
 history, and ``append`` is ``write`` then ``read``.  Each also carries an
 ``epoch`` token — a fresh ``object()``, equal only to itself, so a held
@@ -21,8 +21,8 @@ token is never reissued — renewed on creation and on every
 a consumer that mirrors its first ``n`` positions (the fast path's KV
 staging slots) knows the mirror is still exact.
 
-Every sequence-cache flavour (:class:`ModelKVCache`, the pooled and paged
-sequences) also answers one resolver call, ``kv_slots(n, heads,
+Every sequence-cache flavour (:class:`ModelKVCache` and the paged
+sequence) also answers one resolver call, ``kv_slots(n, heads,
 head_dim)``: where its next ``n`` positions live in every layer, as a
 :class:`KVSlots`.  It runs the flavour's capacity, copy-on-write and
 freed-sequence checks once, raising before anything is written, so a
@@ -247,15 +247,6 @@ class ModelKVCache:
             list(range(start, start + new_tokens)),
             None,
         )
-
-    def note_tokens(self, tokens) -> None:
-        """Scheduler token-note protocol: a no-op for growable caches.
-
-        Sequence caches that share state across requests (the paged store
-        in :mod:`repro.serving.paged`) use the noted token ids to key
-        their prefix index; a private cache has nothing to index.  Part of
-        the common cache contract so schedulers can note unconditionally.
-        """
 
     def __getitem__(self, index: int) -> LayerKVCache:
         return self.layers[index]

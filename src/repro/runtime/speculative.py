@@ -24,7 +24,7 @@ The invariants that make this hold:
   ``row[drafter_cache.seq_len:]`` — rollbacks never desynchronize it;
 - after accepting ``j`` drafts both caches are truncated back to the
   committed prefix, so rejected draft KV entries never influence later
-  steps (and pooled caches return surplus blocks to the pool);
+  steps (and paged caches return surplus pages to their store);
 - the cycle drafts at most ``window_limit - len(row)`` tokens, so the
   context-window overflow point — and the fallback to windowed
   recomputation — lands on exactly the same token as the dense loop.

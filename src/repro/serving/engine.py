@@ -6,8 +6,8 @@ requests next to *single-token decode steps* of all running requests,
 bounded by a per-step token budget, and runs them through the model's
 ragged cached forward: one pass for the single-token rows and one for the
 multi-token rows, so decode rows never pad to a chunk's width.  KV state
-lives in a shared preallocated :class:`~repro.serving.pool.KVBlockPool`;
-when it runs dry the youngest running request is preempted (blocks
+lives in one shared preallocated :class:`~repro.serving.paged.PagedKVStore`;
+when it runs dry the youngest running request is preempted (pages
 released, tokens kept) and later re-prefilled, so results are unchanged.
 
 The engine is clock-agnostic: callers pass ``now`` into :meth:`submit` /
@@ -30,7 +30,6 @@ from repro.errors import PoolExhaustedError, ServingError
 from repro.runtime.decode import DecodeState
 from repro.serving.metrics import EngineMetrics
 from repro.serving.paged import PagedKVStore
-from repro.serving.pool import KVBlockPool
 from repro.serving.request import (
     ACTIVE_STATES,
     GenerationRequest,
@@ -57,10 +56,11 @@ class EngineConfig:
     # unchanged either way — adaptation only moves the draft/verify split).
     spec_adaptive: bool = False
     spec_ema_alpha: float = 0.5  # acceptance-EMA weight (fresh cycle share)
-    # Cross-request prefix sharing: KV state lives in one global paged
-    # store with a radix index over token ids, so requests with a common
-    # prefix skip its prefill and share pages copy-on-write.  Off falls
-    # back to the per-request block pool (the identity baseline).
+    # Cross-request prefix sharing: the paged store's radix index over
+    # token ids lets requests with a common prefix skip its prefill and
+    # share pages copy-on-write.  Off, admission does no prefix lookup and
+    # no token ids are noted, so nothing seals: every request prefills its
+    # whole prompt into private pages (the identity baseline).
     prefix_sharing: bool = True
 
     def __post_init__(self) -> None:
@@ -158,22 +158,18 @@ class InferenceEngine:
         self.model.eval()
         self.config = config or EngineConfig()
         self.timer = timer
-        # Tensor-parallel model facades supply their own pool holding one
-        # KV slice per rank; a plain model gets the shared single pool.
-        # With prefix sharing the pool is a paged store whose radix index
-        # lets admission reuse already-computed prefixes.
-        self.pool = self._make_pool(
-            model, self.config.n_blocks, paged=self.config.prefix_sharing
-        )
+        # Tensor-parallel model facades supply their own store holding one
+        # KV slice per rank; a plain model gets the shared single store.
+        self.pool = self._make_pool(model, self.config.n_blocks)
         self.drafter = drafter
         self.draft_pool = None
         if drafter is not None:
             drafter.eval()
             # The drafter's KV is private per request and rebuilt from the
-            # prefix after preemption — never shared, so it stays a plain
-            # per-request pool.
+            # prefix after preemption — never shared, so its caches are
+            # acquired with no key and never noted.
             self.draft_pool = self._make_pool(
-                drafter, self.config.spec_blocks or self.config.n_blocks, paged=False
+                drafter, self.config.spec_blocks or self.config.n_blocks
             )
         self.metrics = EngineMetrics()
         self._queue: Deque[GenerationRequest] = deque()
@@ -181,19 +177,11 @@ class InferenceEngine:
         self._requests: Dict[int, GenerationRequest] = {}
         self._next_id = 0
 
-    def _make_pool(self, model, n_blocks: int, paged: bool = False):
-        pool_factory = getattr(model, "make_kv_pool", None)
-        if pool_factory is not None:
-            return pool_factory(
-                n_blocks=n_blocks, block_tokens=self.config.block_tokens, paged=paged
-            )
-        if paged:
-            return PagedKVStore(
-                model.config, n_blocks=n_blocks, block_tokens=self.config.block_tokens
-            )
-        return KVBlockPool(
-            model.config, n_blocks=n_blocks, block_tokens=self.config.block_tokens
-        )
+    def _make_pool(self, model, n_blocks: int):
+        block_tokens = self.config.block_tokens
+        if hasattr(model, "make_kv_pool"):
+            return model.make_kv_pool(n_blocks=n_blocks, block_tokens=block_tokens)
+        return PagedKVStore(model.config, n_blocks=n_blocks, block_tokens=block_tokens)
 
     def _model_for(self, spec: Optional[str]):
         return self.model if spec is None else self.variants[spec]
@@ -322,12 +310,12 @@ class InferenceEngine:
         # Draft phase (speculative rows only): drafter forwards happen here
         # so their cost lands inside the step's measured duration.
         feeds, draft_counts = self._draft_extend(rows)
-        # Paged caches index sealed pages by token ids; tell each cache
-        # what the forward is about to append (chunk + any draft tokens).
-        for (request, _), feed in zip(rows, feeds):
-            note = getattr(request.cache, "note_tokens", None)
-            if note is not None:
-                note(feed)
+        # The paged store indexes sealed pages by token ids; tell each
+        # cache what the forward is about to append (chunk + any draft
+        # tokens).  Unshared, nothing is noted, so nothing seals.
+        if self.config.prefix_sharing:
+            for (request, _), feed in zip(rows, feeds):
+                request.cache.note_tokens(feed)
         lengths = np.asarray([feed.size for feed in feeds], dtype=np.int64)
         row_logits = self._forward_rows(rows, feeds, lengths)
         # Tokens are stamped when their logits exist; the step's duration
@@ -428,9 +416,7 @@ class InferenceEngine:
             if request.assign_variant(spec):
                 swaps += 1
                 self.metrics.variant_swaps += 1
-                freeze = getattr(request.cache, "freeze_sealing", None)
-                if freeze is not None:
-                    freeze()
+                request.cache.freeze_sealing()
         return swaps
 
     def _forward_rows(
@@ -510,14 +496,10 @@ class InferenceEngine:
                     # counts as a swap, but the fresh cache is computed
                     # entirely by the new variant, so sealing stays enabled.
                     self.metrics.variant_swaps += 1
-            acquire = getattr(self.pool, "acquire_sequence", None)
-            if acquire is not None:
-                if self.router is not None:
-                    cache = acquire(prefix, namespace=request.variant)
-                else:
-                    cache = acquire(prefix)
-            else:
-                cache = self.pool.allocate_sequence()
+            sharing = self.config.prefix_sharing
+            cache = self.pool.acquire_sequence(
+                prefix if sharing else None, namespace=request.variant
+            )
             shared = cache.seq_len
             take = min(prefix.size - shared, budget)
             try:
@@ -526,7 +508,7 @@ class InferenceEngine:
                 cache.free()
                 break  # pool pressure: leave queued, try next step
             self._queue.popleft()
-            if acquire is not None:
+            if sharing:
                 self.metrics.prefix_lookups += 1
                 if shared:
                     self.metrics.prefix_hits += 1
@@ -705,7 +687,7 @@ class InferenceEngine:
             return []
         try:
             if request.draft_cache is None:
-                request.draft_cache = self.draft_pool.allocate_sequence()
+                request.draft_cache = self.draft_pool.acquire_sequence()
             suffix = request.prefix[request.draft_cache.seq_len :]
             request.draft_cache.reserve(suffix.size + k - 1)
         except PoolExhaustedError:
@@ -742,7 +724,7 @@ class InferenceEngine:
             accepted += 1
         # Rejected draft KV must not survive: the verifier keeps exactly the
         # committed prefix (minus the trailing token fed next step), the
-        # drafter at most that.  Pooled caches return surplus blocks here.
+        # drafter at most that.  Paged caches return surplus pages here.
         request.cache.truncate(prefix_len + accepted)
         request.draft_cache.truncate(
             min(request.draft_cache.seq_len, prefix_len + accepted)

@@ -1,45 +1,53 @@
-"""Global paged KV store with cross-request prefix sharing.
+"""The paged KV store: one refcounted page arena with prefix sharing.
 
-The per-request :class:`~repro.serving.pool.KVBlockPool` hands every
-sequence its own private blocks, so N requests carrying the same system
-prompt each prefill it and each hold a full copy of its KV state.  At
-multi-tenant scale that is the dominant waste: the paper's serving-side
-memory argument (Section 2.2, Figure 12) already makes KV state the
-bottleneck, and most production traffic shares prompt prefixes.
+The paper's serving-side memory argument (Section 2.2, Figure 12) is that
+decode-phase state — the KV cache — dominates memory at realistic batch
+sizes.  Production engines therefore never allocate per-request
+contiguous caches; they carve a fixed arena into fixed-size *pages* of
+token slots and hand pages to requests on demand (vLLM's PagedAttention).
+Most production traffic also shares prompt prefixes, so N requests
+carrying the same system prompt should hold one copy of its KV state,
+not N.  This module is the NumPy analogue (vLLM/SGLang-style):
 
-This module is the serving-side answer (vLLM/SGLang-style):
-
-- :class:`PagedKVStore` owns one fixed arena of *pages* (fixed-size token
-  slots across every layer, same geometry as the block pool) behind a
-  single allocator with **per-page reference counts**.
+- :class:`PagedKVStore` owns one preallocated array per side (K/V) of
+  ``n_blocks`` pages of ``block_tokens`` token slots for *every* layer —
+  a page id is valid across layers, so one allocation covers the whole
+  model — behind a single allocator with **per-page reference counts**.
 - A **radix index** keyed on token ids maps full pages of already-computed
   prefixes to their page ids.  ``acquire_sequence(tokens)`` walks it and
   returns a sequence cache whose block table starts with the matched
   pages — the shared prefix is *never prefilled again*; only the suffix
   past the match runs through the model.
 - Pages are **copy-on-write**: a page is sealed (inserted into the index)
-  once every layer has written all of its slots, and a sealed page is
-  immutable.  Rolling a sequence back *into* a sealed page (speculative
-  draft rejection) forks a private copy when the page is shared and
-  unseals it when it is not; appending into a sealed or shared page raises
-  — mutation of shared state is a hard error, not a silent corruption.
+  once every layer has written all of its slots and its token ids were
+  noted, and a sealed page is immutable.  Rolling a sequence back *into*
+  a sealed page (speculative draft rejection) forks a private copy when
+  the page is shared and unseals it when it is not; appending into a
+  sealed or shared page raises — mutation of shared state is a hard
+  error, not a silent corruption.
 - Released pages whose refcount hits zero stay in the index as
   *reclaimable* until the allocator needs them (LRU eviction of leaf
   pages), so a tenant prefix stays warm across request lifetimes — a
   finished request's prompt pages serve the next arrival for free.
 
+Sharing is keyed entirely on noted token ids.  A sequence acquired with
+no token key whose owner never calls ``note_tokens`` never matches, never
+seals and never dedups: it is a private run of pages on the same
+allocator and layer caches.  That is the engine's unshared baseline
+(``EngineConfig.prefix_sharing=False``) and the drafter's cache.
+
 Exactness: KV entries are a deterministic function of the token prefix
 and absolute positions (RoPE included), so serving from shared pages is
 bit-identical to re-prefilling — the engine's token-for-token identity
-contract against the unshared pool holds on every trace.
+contract against the unshared baseline holds on every trace.
 
-``PagedSequenceCache`` satisfies the same ``seq_len`` / ``kv_slots`` /
-``reserve`` / ``truncate`` / ``free`` contract as
-:class:`~repro.serving.pool.PooledSequenceCache`, so the engine, the
-ragged runtime caches in :mod:`repro.nn.kv_cache`, and the attention
-kernels are oblivious to the sharing.  The one addition is
-``note_tokens``: the scheduler tells the cache which token ids the next
-forward will append, which is what keys the radix index.
+:class:`PagedSequenceCache` satisfies the ``seq_len`` / ``kv_slots``
+contract of :class:`~repro.nn.kv_cache.ModelKVCache` and its layers the
+:class:`~repro.nn.kv_cache.LayerKVCache` contract, so the ragged runtime
+caches in :mod:`repro.nn.kv_cache` and the attention kernels are
+oblivious to paging and sharing.  Capacity is *reserved* ahead of a
+forward pass (``reserve``) so admission control and preemption decisions
+happen in the scheduler, not mid-layer.
 """
 
 from __future__ import annotations
@@ -48,10 +56,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import PoolExhaustedError, ServingError
+from repro.errors import PoolExhaustedError, ServingError, ShapeError
 from repro.models.config import ModelConfig
-from repro.nn.kv_cache import KVSlots, uniform_length
-from repro.serving.pool import PooledLayerCache, block_slots
+from repro.nn.kv_cache import KVSlots, LayerLength, check_entries, uniform_length
 
 
 class _RadixNode:
@@ -80,13 +87,11 @@ class _RadixNode:
 class PagedKVStore:
     """A refcounted page arena plus a radix index over sealed prefixes.
 
-    Exposes the same accounting surface as
-    :class:`~repro.serving.pool.KVBlockPool` (``n_blocks`` /
-    ``block_tokens`` / ``available_blocks`` / ``used_blocks`` / ``fits``)
-    so the engine's admission control works unchanged.  ``used_blocks``
-    counts pages referenced by live sequences; sealed pages at refcount
-    zero are *reclaimable* and counted available — they are cache, not
-    occupancy.
+    ``n_blocks`` / ``block_tokens`` / ``available_blocks`` /
+    ``used_blocks`` / ``fits`` are the engine's admission-control surface.
+    ``used_blocks`` counts pages referenced by live sequences; sealed
+    pages at refcount zero are *reclaimable* and counted available — they
+    are cache, not occupancy.
     """
 
     def __init__(
@@ -98,6 +103,10 @@ class PagedKVStore:
         kv_heads: Optional[int] = None,
         n_layers: Optional[int] = None,
     ) -> None:
+        """``kv_heads`` overrides the model's KV head count — a
+        tensor-parallel rank stores only its covering KV-head slice; a
+        pipeline stage passes ``n_layers`` so its store holds only the
+        stage's own decoder layers."""
         if n_blocks <= 0 or block_tokens <= 0:
             raise ServingError("n_blocks and block_tokens must be positive")
         if kv_heads is not None and not 0 < kv_heads <= config.kv_heads:
@@ -124,6 +133,7 @@ class PagedKVStore:
         )
         self.keys = np.zeros(shape, dtype=self.dtype)
         self.values = np.zeros(shape, dtype=self.dtype)
+        # LIFO free list: recently released pages are reused first (warm).
         self._free: List[int] = list(range(self.n_blocks - 1, -1, -1))
         self._ref: List[int] = [0] * self.n_blocks
         self._root = _RadixNode((), -1, None)
@@ -171,11 +181,13 @@ class PagedKVStore:
         return self.keys.nbytes + self.values.nbytes
 
     def blocks_for_tokens(self, tokens: int) -> int:
+        """Pages needed to hold ``tokens`` cache slots."""
         if tokens <= 0:
             return 0
         return -(-tokens // self.block_tokens)
 
     def fits(self, tokens: int) -> bool:
+        """Whether a sequence of ``tokens`` positions could *ever* be held."""
         return self.blocks_for_tokens(tokens) <= self.n_blocks
 
     def ref(self, page: int) -> int:
@@ -337,7 +349,7 @@ class PagedKVStore:
         self, tokens=None, namespace: Optional[str] = None
     ) -> "PagedSequenceCache":
         """A sequence cache pre-seeded with the longest indexed prefix of
-        ``tokens`` (no tokens: a fresh empty cache).
+        ``tokens`` (no tokens: a fresh empty cache, no lookup).
 
         ``namespace`` confines matching *and* future sealing to one radix
         root — the routed engine passes the computing variant's spec so
@@ -358,10 +370,6 @@ class PagedKVStore:
         shared = len(pages) * self.block_tokens
         return PagedSequenceCache(self, pages, ids[:shared], node, root=root)
 
-    def allocate_sequence(self) -> "PagedSequenceCache":
-        """Pool-compatible alias: a fresh cache with no prefix lookup."""
-        return self.acquire_sequence(None)
-
     # -- page data ---------------------------------------------------------
     def copy_page(self, src: int, dst: int, slots: int) -> None:
         """Copy the first ``slots`` token slots of ``src`` into ``dst``
@@ -370,27 +378,68 @@ class PagedKVStore:
         self.values[:, dst, :, :slots] = self.values[:, src, :, :slots]
 
 
-class PagedLayerCache(PooledLayerCache):
-    """One layer's slots of one sequence, backed by shared store pages.
+class PagedLayerCache(LayerLength):
+    """One layer's slots of one sequence, backed by store pages.
 
-    Same ``seq_len`` / ``epoch`` / ``write`` / ``read`` / ``append`` /
-    ``truncate`` contract as :class:`~repro.serving.pool.PooledLayerCache`;
-    the only behavioural difference lives in the sequence's write checks —
-    appending into a sealed or shared page is a COW violation and raises
-    instead of corrupting a neighbour.  The epoch is renewed on creation
-    and on every ``truncate``; a COW fork or unseal only happens inside a
-    truncate, and a dedup swap replaces a page with a bit-identical one,
-    so while the epoch holds the first ``seq_len`` positions read back
-    unchanged.
+    Satisfies the :class:`~repro.nn.kv_cache.LayerKVCache` contract used by
+    :class:`~repro.nn.attention.MultiHeadAttention`.  ``write`` resolves
+    its positions through the sequence's checks (the same ones
+    ``kv_slots`` runs) and scatters them into the store, so appending into
+    a sealed or shared page is a COW violation and raises instead of
+    corrupting a neighbour.  The epoch is renewed on creation and on every
+    ``truncate``; a COW fork or unseal only happens inside a truncate, and
+    a dedup swap replaces a page with a bit-identical one, so while the
+    epoch holds the first ``seq_len`` positions read back unchanged.
     """
+
+    def __init__(self, sequence, store, layer: int, length: int = 0) -> None:
+        super().__init__(length)
+        self._sequence = sequence
+        self._store = store
+        self._layer = layer
+
+    def write(self, keys: np.ndarray, values: np.ndarray) -> None:
+        """Write new (1, H, T, Dh) positions into the reserved pages
+        without reading history back."""
+        keys, values = check_entries(keys, values)
+        target = self._sequence._slots(self._len, keys.shape)
+        layer = self._layer
+        target.keys[layer][target.blocks, :, target.slots] = keys[0].swapaxes(0, 1)
+        target.values[layer][target.blocks, :, target.slots] = values[0].swapaxes(0, 1)
+        self._len += keys.shape[2]
+        if target.after is not None:
+            target.after()
+
+    def read(self) -> tuple:
+        """Contiguous (1, H, seq_len, Dh) copies of the paged history."""
+        store = self._store
+        table = self._sequence.block_table
+        total = self._len
+        out_keys = np.empty((1, store.kv_heads, total, store.head_dim), dtype=store.dtype)
+        out_values = np.empty_like(out_keys)
+        page_size = store.block_tokens
+        for index in range(store.blocks_for_tokens(total)):
+            page = table[index]
+            start = index * page_size
+            take = min(page_size, total - start)
+            out_keys[0, :, start : start + take] = store.keys[self._layer, page, :, :take]
+            out_values[0, :, start : start + take] = store.values[
+                self._layer, page, :, :take
+            ]
+        return out_keys, out_values
+
+    def append(self, keys: np.ndarray, values: np.ndarray) -> tuple:
+        """:meth:`write`, then :meth:`read`."""
+        self.write(keys, values)
+        return self.read()
 
 
 class PagedSequenceCache:
-    """Per-request view over shared store pages, with COW bookkeeping.
+    """Per-request view over store pages, with COW bookkeeping.
 
-    Structurally compatible with
-    :class:`~repro.serving.pool.PooledSequenceCache` (``.layers`` /
-    ``seq_len`` / ``reserve`` / ``truncate`` / ``free``).  The sealed
+    Structurally compatible with :class:`~repro.nn.kv_cache.ModelKVCache`
+    (``.layers`` / ``seq_len`` / ``kv_slots`` / ``truncate``), so it can
+    be passed to the model's cached forward paths directly.  The sealed
     region of the block table — the first ``_sealed_pages`` entries — is
     immutable and potentially shared; everything past it is private.
     """
@@ -417,13 +466,13 @@ class PagedSequenceCache:
             for layer in range(store.n_layers)
         ]
 
-    # -- pool-compatible surface -------------------------------------------
     @property
     def seq_len(self) -> int:
         return self.layers[0].seq_len
 
     @property
     def capacity(self) -> int:
+        """Token slots currently reserved for this sequence."""
         return len(self.block_table) * self.store.block_tokens
 
     def __getitem__(self, index: int) -> PagedLayerCache:
@@ -442,14 +491,35 @@ class PagedSequenceCache:
         return self._slots(uniform_length(self.layers), (1, heads, new_tokens, head_dim))
 
     def _slots(self, start: int, shape: tuple) -> KVSlots:
+        """Resolve positions ``[start, start + T)`` for ``shape = (1, H,
+        T, Dh)`` entries, raising before anything is written: ShapeError
+        on entries the store cannot hold, ServingError on a freed sequence
+        or a COW violation, PoolExhaustedError past the reserved capacity.
+        """
         store = self.store
-        pages, slots = block_slots(self, store, "paged", start, shape)
+        batch, heads, new_tokens, head_dim = shape
+        if batch != 1 or heads != store.kv_heads or head_dim != store.head_dim:
+            raise ShapeError(
+                f"paged cache expects (1, {store.kv_heads}, T, {store.head_dim}); "
+                f"got {shape}"
+            )
+        if self.closed:
+            raise ServingError("cannot append to a freed sequence cache")
+        end = start + new_tokens
+        if end > self.capacity:
+            raise PoolExhaustedError(
+                f"append of {new_tokens} exceeds reserved capacity "
+                f"{self.capacity} (len {start}); call reserve() first"
+            )
+        page_size = store.block_tokens
+        table = self.block_table
+        pages = [table[p // page_size] for p in range(start, end)]
+        slots = [p % page_size for p in range(start, end)]
         for page in set(pages):
             self._check_writable(page)
-        page_size = store.block_tokens
-        end = start + shape[2]
-        # Sealing only matters when the write can complete a page.
-        after = self._maybe_seal if end // page_size > self._sealed_pages else None
+        # Sealing only matters when the write can complete a noted page.
+        sealable = min(end, len(self._tokens)) // page_size > self._sealed_pages
+        after = self._maybe_seal if sealable else None
         return KVSlots(store, store.keys, store.values, pages, slots, after)
 
     def _check_writable(self, page: int) -> None:
@@ -466,6 +536,12 @@ class PagedSequenceCache:
             )
 
     def reserve(self, new_tokens: int) -> None:
+        """Ensure capacity for ``new_tokens`` more positions.
+
+        Raises :class:`PoolExhaustedError` (allocating nothing) when the
+        store cannot supply the missing pages — the scheduler's signal to
+        stop admitting or to preempt.
+        """
         if self.closed:
             raise ServingError("cannot reserve on a freed sequence cache")
         if new_tokens < 0:
@@ -480,7 +556,8 @@ class PagedSequenceCache:
 
         The engine calls this with each row's feed (prefill chunk, decode
         token, or chunk + draft proposals) before the forward pass; the
-        recorded ids are what key sealed pages into the radix index.
+        recorded ids are what key sealed pages into the radix index; a
+        sequence whose ids are never noted never seals a page.
         """
         if self.closed:
             raise ServingError("cannot note tokens on a freed sequence cache")
@@ -496,36 +573,49 @@ class PagedSequenceCache:
         """Roll back to ``length`` positions, honouring copy-on-write.
 
         Pages past the kept region drop one reference (sealed ones stay
-        reclaimable in the index).  When the cut lands *inside* a sealed
-        page, the page is forked to a private copy if anyone else holds it
-        and unsealed otherwise — a rolled-back shared page is never
-        mutated in place.
+        reclaimable in the index), so a rejected draft never strands a
+        page.  When the cut lands *inside* a sealed page, the page is
+        forked to a private copy if anyone else holds it and unsealed
+        otherwise — a rolled-back shared page is never mutated in place.
+        Atomic: when the fork cannot get a page, raises
+        :class:`PoolExhaustedError` before anything changes.
         """
         if self.closed:
             raise ServingError("cannot truncate a freed sequence cache")
         length = int(length)
+        if not 0 <= length <= self.seq_len:
+            raise ShapeError(
+                f"cannot truncate to {length}: cache holds {self.seq_len} positions"
+            )
+        store = self.store
+        keep = store.blocks_for_tokens(length)
+        full_pages, partial = divmod(length, store.block_tokens)
+        # A cut inside a sealed page: that page's tail will be rewritten.
+        inside = partial and full_pages < self._sealed_pages
+        cut = self.block_table[full_pages] if inside else None
+        fork = cut is not None and store.ref(cut) > 1
+        if fork:
+            # Check the fork's page up front, counting the pages this
+            # rollback itself hands back.
+            released = sum(1 for page in self.block_table[keep:] if store.ref(page) == 1)
+            if store.available_blocks + released < 1:
+                raise PoolExhaustedError(
+                    f"rollback to {length} must fork shared page {cut}; no page free"
+                )
         for layer in self.layers:
             layer.truncate(length)
         del self._tokens[length:]
-        store = self.store
-        keep = store.blocks_for_tokens(length)
-        if keep < len(self.block_table):
-            for page in self.block_table[keep:]:
-                store.release_ref(page)
-            del self.block_table[keep:]
-        full_pages = length // store.block_tokens
-        partial = length % store.block_tokens
-        if partial and full_pages < self._sealed_pages:
-            # The cut is inside a sealed page: its tail will be rewritten.
-            page = self.block_table[full_pages]
-            if store.ref(page) > 1:
-                fork = store.allocate(1)[0]
-                store.copy_page(page, fork, partial)
-                self.block_table[full_pages] = fork
-                store.release_ref(page)
-                store.cow_forks += 1
-            else:
-                store.unseal_page(page)
+        for page in self.block_table[keep:]:
+            store.release_ref(page)
+        del self.block_table[keep:]
+        if fork:
+            copy = store.allocate(1)[0]
+            store.copy_page(cut, copy, partial)
+            self.block_table[full_pages] = copy
+            store.release_ref(cut)
+            store.cow_forks += 1
+        elif cut is not None:
+            store.unseal_page(cut)
         self._sealed_pages = min(self._sealed_pages, full_pages)
         self._parent_node = (
             store._nodes[self.block_table[self._sealed_pages - 1]]
@@ -534,8 +624,9 @@ class PagedSequenceCache:
         )
 
     def free(self) -> None:
-        """Drop every page reference; the cache becomes unusable.  Sealed
-        pages stay warm in the index for the next matching request."""
+        """Drop every page reference; the cache becomes unusable (a second
+        call is a no-op).  Sealed pages stay warm in the index for the
+        next matching request."""
         if self.closed:
             return
         for page in self.block_table:

@@ -52,7 +52,7 @@ class GenerationRequest:
 
     state: RequestState = RequestState.QUEUED
     generated: List[int] = field(default_factory=list)
-    cache: Optional[object] = None  # PooledSequenceCache while active
+    cache: Optional[object] = None  # PagedSequenceCache while active
     # Speculative-mode state: the drafter's own KV cache for this request
     # and the draft tokens proposed for the in-flight verify step.  Both are
     # dropped on preemption/termination alongside the main cache.

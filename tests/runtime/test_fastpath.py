@@ -297,7 +297,7 @@ def test_ragged_staging_matches_tensor_path(store, schedule):
                 pool = (
                     PagedKVStore(TINY, n_blocks=64, block_tokens=4)
                     if store == "paged"
-                    else runners["A"].make_kv_pool(64, 4, paged=True)
+                    else runners["A"].make_kv_pool(64, 4)
                 )
 
                 def new_cache(prompt):

@@ -4,7 +4,7 @@ The fast path plans each ragged forward once — each row's cache
 destinations come from the sequence's ``kv_slots`` resolver, and staging
 slots are found by cache epoch.  These tests drive that machinery with
 generated serving schedules (fast path vs Tensor driver, bit for bit,
-over every cache flavour), check that the resolver refuses a bad row
+over both cache flavours), check that the resolver refuses a bad row
 before any byte is written, and pin the slot-record rules.
 """
 
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.errors import PoolExhaustedError, ServingError, ShapeError
 from repro.nn import ModelKVCache
 from repro.runtime import Workspace, fastpath
-from repro.serving import KVBlockPool, PagedKVStore
+from repro.serving import PagedKVStore
 
 from .test_fastpath import TINY, _replay, build_tiny
 
@@ -79,12 +79,11 @@ def ragged_schedules(draw):
 def _new_cache_factory(flavour: str):
     if flavour == "growable":
         return lambda prompt: ModelKVCache(TINY.n_layers)
-    store_cls = KVBlockPool if flavour == "pooled" else PagedKVStore
-    store = store_cls(TINY, n_blocks=256, block_tokens=4)
-    return lambda prompt: store.allocate_sequence()
+    store = PagedKVStore(TINY, n_blocks=256, block_tokens=4)
+    return lambda prompt: store.acquire_sequence()
 
 
-@pytest.mark.parametrize("flavour", ("growable", "pooled", "paged"))
+@pytest.mark.parametrize("flavour", ("growable", "paged"))
 @settings(max_examples=20, deadline=None)
 @given(schedule=ragged_schedules())
 def test_generated_schedules_match_tensor_path(flavour, schedule):
@@ -111,7 +110,7 @@ def _feed(cache, ids):
 def _pair(store):
     """A healthy row ``a`` and a row ``b`` holding one full page (sealed
     in a paged store)."""
-    a, b = store.allocate_sequence(), store.allocate_sequence()
+    a, b = store.acquire_sequence(), store.acquire_sequence()
     for cache, ids in ((a, [1, 2, 3]), (b, [4, 5, 6, 7])):
         _feed(cache, ids)
         _model().runtime.forward_ragged(np.array([ids]), [cache], [len(ids)])
@@ -144,15 +143,12 @@ def _freed(store, a, b):
     return ServingError
 
 
-@pytest.mark.parametrize("store_cls, case", [
-    pytest.param(store_cls, case, id=f"{name}-{case.__name__[1:]}")
-    for store_cls, name in ((KVBlockPool, "pooled"), (PagedKVStore, "paged"))
+@pytest.mark.parametrize("case", [
+    pytest.param(case, id=f"paged-{case.__name__[1:]}")
     for case in (_overflow, _sealed_page, _shared_page, _freed)
-    # A private block pool has no sealed or shared pages.
-    if store_cls is PagedKVStore or case in (_overflow, _freed)
 ])
-def test_resolver_rejects_row_before_any_write(store_cls, case):
-    store = store_cls(TINY, n_blocks=16, block_tokens=4)
+def test_resolver_rejects_row_before_any_write(case):
+    store = PagedKVStore(TINY, n_blocks=16, block_tokens=4)
     a, b = _pair(store)
     error = case(store, a, b)
     keys, values = store.keys.copy(), store.values.copy()
@@ -179,10 +175,10 @@ def test_layer_lengths_must_agree():
 
 
 def test_rows_sharing_a_store_are_one_write_group():
-    """The resolver names the backing store: pooled rows share theirs, a
+    """The resolver names the backing store: paged rows share theirs, a
     growable cache is its own, and destinations follow the block table."""
-    pool = KVBlockPool(TINY, n_blocks=8, block_tokens=4)
-    first, second = pool.allocate_sequence(), pool.allocate_sequence()
+    pool = PagedKVStore(TINY, n_blocks=8, block_tokens=4)
+    first, second = pool.acquire_sequence(), pool.acquire_sequence()
     first.reserve(6)
     second.reserve(2)
     heads, head_dim = pool.kv_heads, pool.head_dim

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.errors import PoolExhaustedError, ServingError
+from repro.models import TINY_LLAMA
 from repro.serving import PagedKVStore
 
 PAGE = 4  # block_tokens used throughout
@@ -52,7 +53,7 @@ class TestAccounting:
         assert store.cached_blocks == 0
 
     def test_refcounts_drain_to_zero_after_free(self, store):
-        sequence = store.allocate_sequence()
+        sequence = store.acquire_sequence()
         fill(store, sequence, list(range(10)))  # 2 full pages + 2 slots
         assert store.used_blocks == 3
         pages = list(sequence.block_table)
@@ -65,7 +66,7 @@ class TestAccounting:
         assert store.available_blocks == 8
 
     def test_refcounts_drain_after_rollback_then_free(self, store):
-        sequence = store.allocate_sequence()
+        sequence = store.acquire_sequence()
         fill(store, sequence, list(range(10)))
         sequence.truncate(3)  # back into the first (sealed) page
         pages = list(sequence.block_table)
@@ -83,7 +84,7 @@ class TestAccounting:
 class TestSharing:
     def test_acquire_shares_sealed_prefix(self, store):
         tokens = list(range(9))
-        first = store.allocate_sequence()
+        first = store.acquire_sequence()
         fill(store, first, tokens)
         shared_page = first.block_table[0]
         second = store.acquire_sequence(tokens)
@@ -99,7 +100,7 @@ class TestSharing:
     def test_match_capped_below_full_prompt(self, store):
         """A fully-indexed prompt still leaves >= 1 token to feed."""
         tokens = list(range(PAGE))
-        first = store.allocate_sequence()
+        first = store.acquire_sequence()
         fill(store, first, tokens)
         first.free()
         second = store.acquire_sequence(tokens)  # 4 tokens: cap = 0 pages
@@ -108,8 +109,8 @@ class TestSharing:
 
     def test_dedup_of_identical_concurrent_prefills(self, store):
         tokens = list(range(6))
-        a = store.allocate_sequence()
-        b = store.allocate_sequence()
+        a = store.acquire_sequence()
+        b = store.acquire_sequence()
         fill(store, a, tokens)
         fill(store, b, tokens)  # seals the same key: converges onto a's page
         assert a.block_table[0] == b.block_table[0]
@@ -119,7 +120,7 @@ class TestSharing:
 
     def test_warm_prefix_survives_completion(self, store):
         tokens = list(range(9))
-        first = store.allocate_sequence()
+        first = store.acquire_sequence()
         fill(store, first, tokens)
         first.free()
         second = store.acquire_sequence(tokens)
@@ -131,7 +132,7 @@ class TestSharing:
 
 class TestCopyOnWrite:
     def test_write_into_sealed_page_raises(self, store):
-        sequence = store.allocate_sequence()
+        sequence = store.acquire_sequence()
         fill(store, sequence, list(range(5)))
         # Bypass sequence.truncate (which forks/unseals) to point a layer
         # cursor into the sealed page: the write guard must fire.
@@ -143,7 +144,7 @@ class TestCopyOnWrite:
 
     def test_rollback_into_shared_page_forks(self, store):
         tokens = list(range(9))
-        first = store.allocate_sequence()
+        first = store.acquire_sequence()
         fill(store, first, tokens)
         original = first.block_table[0]
         second = store.acquire_sequence(tokens)
@@ -165,7 +166,7 @@ class TestCopyOnWrite:
         np.testing.assert_array_equal(store.keys[:, original], before)
 
     def test_rollback_into_private_sealed_page_unseals(self, store):
-        sequence = store.allocate_sequence()
+        sequence = store.acquire_sequence()
         fill(store, sequence, list(range(9)))
         page = sequence.block_table[0]
         assert store.is_sealed(page)
@@ -175,8 +176,43 @@ class TestCopyOnWrite:
         # The chained second page (unreferenced descendant) was freed too.
         assert store.cached_blocks == 0
 
+    def test_rollback_fork_without_a_free_page_changes_nothing(self):
+        """A rollback that must fork a shared page but cannot get one
+        raises before touching anything, and works once a page frees."""
+        store = PagedKVStore(TINY_LLAMA, n_blocks=3, block_tokens=PAGE)
+        tokens = list(range(2 * PAGE))
+        a = store.acquire_sequence()
+        fill(store, a, tokens)  # seals both of a's pages
+        b = store.acquire_sequence(None)
+        fill(store, b, tokens[:PAGE])  # dedups onto a's first sealed page
+        shared = a.block_table[0]
+        assert b.block_table == [shared] and store.ref(shared) == 2
+        hog = store.acquire_sequence()
+        hog.reserve(1)  # the last free page
+
+        def state():
+            return (
+                b.seq_len, list(b.block_table), list(b._tokens), b._sealed_pages,
+                [layer.epoch for layer in b.layers],
+                [store.ref(page) for page in range(store.n_blocks)],
+            )
+
+        before = state()
+        with pytest.raises(PoolExhaustedError):
+            b.truncate(2)
+        assert state() == before
+        hog.free()
+        b.truncate(2)
+        assert b.block_table[0] != shared and store.cow_forks == 1
+        b.reserve(1)
+        b.note_tokens([99])
+        kv = kv_for(store, [99])
+        for layer in b.layers:
+            layer.append(kv, kv)
+        assert b.seq_len == 3
+
     def test_unseal_with_referenced_descendant_raises(self, store):
-        sequence = store.allocate_sequence()
+        sequence = store.acquire_sequence()
         fill(store, sequence, list(range(9)))
         with pytest.raises(ServingError, match="descendant"):
             store.unseal_page(sequence.block_table[0])
@@ -184,7 +220,7 @@ class TestCopyOnWrite:
 
 class TestEvictionAndExhaustion:
     def test_exhaustion_raises_without_side_effects(self, store):
-        sequence = store.allocate_sequence()
+        sequence = store.acquire_sequence()
         sequence.reserve(8 * PAGE)  # every page referenced
         with pytest.raises(PoolExhaustedError):
             store.allocate(1)
@@ -192,7 +228,7 @@ class TestEvictionAndExhaustion:
         assert store.used_blocks == 8
 
     def test_reclaimable_pages_evicted_for_allocation(self, store):
-        sequence = store.allocate_sequence()
+        sequence = store.acquire_sequence()
         fill(store, sequence, list(range(9)))
         sequence.free()
         assert store.reclaimable_blocks == 2
@@ -205,11 +241,11 @@ class TestEvictionAndExhaustion:
         store = PagedKVStore(smoke_config, n_blocks=2, block_tokens=PAGE)
         tokens_a = list(range(0, 5))
         tokens_b = list(range(10, 15))
-        a = store.allocate_sequence()
+        a = store.acquire_sequence()
         fill(store, a, tokens_a[:PAGE])
         a.note_tokens(tokens_a[PAGE:])
         a.free()
-        b = store.allocate_sequence()
+        b = store.acquire_sequence()
         fill(store, b, tokens_b[:PAGE])
         b.note_tokens(tokens_b[PAGE:])
         b.free()
@@ -221,7 +257,7 @@ class TestEvictionAndExhaustion:
 
 class TestNoteTokens:
     def test_out_of_step_note_raises(self, store):
-        sequence = store.allocate_sequence()
+        sequence = store.acquire_sequence()
         sequence.reserve(2)
         kv = kv_for(store, [1, 2])
         for layer in sequence.layers:
@@ -230,7 +266,7 @@ class TestNoteTokens:
             sequence.note_tokens([1, 2])
 
     def test_unnoted_pages_never_seal(self, store):
-        sequence = store.allocate_sequence()
+        sequence = store.acquire_sequence()
         sequence.reserve(2 * PAGE)
         kv = kv_for(store, list(range(2 * PAGE)))
         for layer in sequence.layers:

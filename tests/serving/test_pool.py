@@ -1,16 +1,21 @@
-"""The block-based KV-cache pool and its per-request views."""
+"""The paged KV store as the engine's page pool: allocator accounting,
+per-request reservations, and the layer-cache contract.
+
+These cases hold for every sequence, shared or not; the sharing rules
+(sealing, copy-on-write, eviction) live in ``test_paged_store.py``.
+"""
 
 import numpy as np
 import pytest
 
 from repro.errors import PoolExhaustedError, ServingError, ShapeError
 from repro.nn import LayerKVCache
-from repro.serving import KVBlockPool
+from repro.serving import PagedKVStore
 
 
 @pytest.fixture()
 def pool(smoke_config):
-    return KVBlockPool(smoke_config, n_blocks=8, block_tokens=4)
+    return PagedKVStore(smoke_config, n_blocks=8, block_tokens=4)
 
 
 class TestAccounting:
@@ -44,7 +49,8 @@ class TestAccounting:
         blocks = pool.allocate(3)
         assert len(blocks) == 3
         assert pool.used_blocks == 3
-        pool.release(blocks)
+        for block in blocks:
+            pool.release_ref(block)
         assert pool.used_blocks == 0
 
     def test_exhaustion_raises_and_allocates_nothing(self, pool):
@@ -54,39 +60,39 @@ class TestAccounting:
         assert pool.available_blocks == 1
 
     def test_double_release_detected(self, pool):
-        blocks = pool.allocate(2)
-        pool.release(blocks)
+        block = pool.allocate(1)[0]
+        pool.release_ref(block)
         with pytest.raises(ServingError):
-            pool.release(blocks)
+            pool.release_ref(block)
 
     def test_release_validates_ids(self, pool):
         with pytest.raises(ServingError):
-            pool.release([99])
+            pool.release_ref(99)
 
 
-class TestPooledSequenceCache:
+class TestSequenceCache:
     def test_reserve_then_append(self, pool, smoke_config):
-        cache = pool.allocate_sequence()
+        cache = pool.acquire_sequence()
         cache.reserve(6)
         assert cache.capacity == 8  # two blocks of four
         assert pool.used_blocks == 2
         assert cache.seq_len == 0
 
     def test_append_without_reserve_raises(self, pool, smoke_config):
-        cache = pool.allocate_sequence()
+        cache = pool.acquire_sequence()
         kv = np.zeros((1, smoke_config.kv_heads, 2, smoke_config.head_dim))
         with pytest.raises(PoolExhaustedError):
             cache.layers[0].append(kv, kv)
 
     def test_append_shape_validation(self, pool, smoke_config):
-        cache = pool.allocate_sequence()
+        cache = pool.acquire_sequence()
         cache.reserve(4)
         bad = np.zeros((2, smoke_config.kv_heads, 2, smoke_config.head_dim))
         with pytest.raises(ShapeError):
             cache.layers[0].append(bad, bad)
 
     def test_free_returns_blocks_and_closes(self, pool, smoke_config):
-        cache = pool.allocate_sequence()
+        cache = pool.acquire_sequence()
         cache.reserve(10)
         cache.free()
         assert pool.used_blocks == 0
@@ -96,17 +102,17 @@ class TestPooledSequenceCache:
         cache.free()  # idempotent
 
     def test_reserve_failure_allocates_nothing(self, pool):
-        hog = pool.allocate_sequence()
+        hog = pool.acquire_sequence()
         hog.reserve(28)  # 7 blocks
-        cache = pool.allocate_sequence()
+        cache = pool.acquire_sequence()
         with pytest.raises(PoolExhaustedError):
             cache.reserve(8)  # needs 2, only 1 free
         assert pool.available_blocks == 1
         assert cache.capacity == 0
 
     def test_matches_contiguous_layer_cache(self, pool, smoke_config, rng):
-        """Blocked storage must gather to exactly what LayerKVCache returns."""
-        cache = pool.allocate_sequence()
+        """Paged storage must gather to exactly what LayerKVCache returns."""
+        cache = pool.acquire_sequence()
         reference = LayerKVCache()
         total = 0
         for chunk in (3, 1, 5, 4, 1):
@@ -115,16 +121,16 @@ class TestPooledSequenceCache:
             ).astype(np.float32)
             values = rng.normal(size=keys.shape).astype(np.float32)
             cache.reserve(chunk)
-            pooled_k, pooled_v = cache.layers[0].append(keys, values)
+            paged_k, paged_v = cache.layers[0].append(keys, values)
             ref_k, ref_v = reference.append(keys, values)
             total += chunk
             assert cache.layers[0].seq_len == total
             assert cache.seq_len == total
-            np.testing.assert_array_equal(pooled_k, ref_k)
-            np.testing.assert_array_equal(pooled_v, ref_v)
+            np.testing.assert_array_equal(paged_k, ref_k)
+            np.testing.assert_array_equal(paged_v, ref_v)
 
     def test_layers_are_independent(self, pool, smoke_config):
-        cache = pool.allocate_sequence()
+        cache = pool.acquire_sequence()
         cache.reserve(2)
         kv = np.ones((1, smoke_config.kv_heads, 2, smoke_config.head_dim))
         cache.layers[0].append(kv, kv)
@@ -132,18 +138,15 @@ class TestPooledSequenceCache:
         assert cache.layers[1].seq_len == 0
 
 
-@pytest.mark.parametrize("flavour", ("growable", "pooled", "paged"))
+@pytest.mark.parametrize("flavour", ("growable", "paged"))
 def test_layer_cache_epoch_and_write_contract(flavour, smoke_config, rng):
     """Every layer-cache flavour: ``write`` appends without reading back,
     ``append`` is ``write`` plus the history read, and the epoch is fresh
     on creation and renewed by every ``truncate``."""
-    from repro.serving import PagedKVStore
-
     def new_layer():
         if flavour == "growable":
             return LayerKVCache()
-        store_cls = KVBlockPool if flavour == "pooled" else PagedKVStore
-        sequence = store_cls(smoke_config, n_blocks=8, block_tokens=4).allocate_sequence()
+        sequence = PagedKVStore(smoke_config, n_blocks=8, block_tokens=4).acquire_sequence()
         sequence.reserve(12)
         return sequence.layers[0]
 

@@ -1,7 +1,7 @@
 """Cross-request prefix sharing under the engine: exactness and accounting.
 
 The paged store is only admissible if it is invisible in the output:
-token-for-token identity with the per-request-pool engine on every trace,
+token-for-token identity with the unshared engine on every trace,
 at tp=1 and tp=2, with and without speculative decoding.  On top of that,
 the whole point — N requests with a common P-token prefix incur exactly
 one P-token prefill — is asserted via the engine's prefill-token
