@@ -1,8 +1,13 @@
 """Truncated singular value decomposition used inside Algorithm 1.
 
 ``A = SVD(k, B)`` in the paper's notation computes the k leading left
-singular vectors of B.  NumPy's LAPACK-backed full SVD is exact and fast at
-the matrix sizes this library handles.
+singular vectors of B.  :func:`truncated_svd` runs NumPy's LAPACK-backed
+thin SVD and slices it.  When Algorithm 1 decomposes a weight matrix, it
+only sees thin inputs: the HOI sweeps factor ``dim x rank`` projections,
+and the order-2 HOSVD initialization (:func:`repro.decomposition.tucker.hosvd`)
+replaces the two full unfolding SVDs with one eigendecomposition of the
+smaller-side Gram plus one SVD of a ``dim x rank`` projection.  Tensors of
+order 3 and higher still take one full SVD per mode unfolding.
 """
 
 from __future__ import annotations

@@ -108,18 +108,44 @@ def _validate_ranks(shape: Tuple[int, ...], ranks: Sequence[int]) -> Tuple[int, 
     return ranks
 
 
+def _matrix_factors(matrix: np.ndarray, ranks: Tuple[int, int]) -> List[np.ndarray]:
+    """Both HOSVD factors of a matrix from one symmetric eigendecomposition.
+
+    A matrix's mode-0 and mode-1 unfoldings are T and Tᵀ, so two unfolding
+    SVDs would compute the same decomposition twice.  Instead, the
+    k = max(ranks) leading eigenvectors of the smaller-side Gram (T Tᵀ or
+    Tᵀ T) give one side's leading singular basis, and the leading left
+    singular basis of the thin projection (Tᵀ Q or T Q, at most
+    max(m, n) × k) gives the other side's.  Each is then truncated to its
+    mode's rank.
+    """
+    k = max(ranks)
+    wide = matrix.shape[0] <= matrix.shape[1]
+    gram = matrix @ matrix.T if wide else matrix.T @ matrix
+    _, vectors = np.linalg.eigh(gram)  # ascending eigenvalues
+    near = vectors[:, ::-1][:, :k]
+    far = leading_left_singular_vectors((matrix.T if wide else matrix) @ near, k)
+    left, right = (near, far) if wide else (far, near)
+    return [left[:, : ranks[0]], right[:, : ranks[1]]]
+
+
 def hosvd(tensor: np.ndarray, ranks: Sequence[int]) -> TuckerResult:
     """Truncated higher-order SVD: the standard non-iterative initialization.
 
     Each factor is the leading left singular basis of the mode unfolding;
-    the core is the projection of T onto those bases.
+    the core is the projection of T onto those bases.  A matrix gets both
+    bases from one Gram eigendecomposition (:func:`_matrix_factors`);
+    tensors of order 3 and higher take one SVD per mode unfolding.
     """
     tensor = np.asarray(tensor, dtype=np.float64)
     ranks = _validate_ranks(tensor.shape, ranks)
-    factors = [
-        leading_left_singular_vectors(unfold(tensor, mode), rank)
-        for mode, rank in enumerate(ranks)
-    ]
+    if tensor.ndim == 2:
+        factors = _matrix_factors(tensor, ranks)
+    else:
+        factors = [
+            leading_left_singular_vectors(unfold(tensor, mode), rank)
+            for mode, rank in enumerate(ranks)
+        ]
     core = multi_mode_product(tensor, [f.T for f in factors])
     return TuckerResult(
         core=core, factors=factors, iterations=0, converged=True, fit_history=[]
@@ -175,6 +201,7 @@ def hoi(
     fit_history: List[float] = []
     converged = False
     iterations = 0
+    core = None
 
     for iterations in range(1, max_iterations + 1):
         for mode in range(tensor.ndim):
@@ -202,7 +229,8 @@ def hoi(
             break
         previous_fit = fit
 
-    core = multi_mode_product(tensor, [f.T for f in factors])
+    if core is None:  # no sweep ran; otherwise the last one built the core
+        core = multi_mode_product(tensor, [f.T for f in factors])
     return TuckerResult(
         core=core,
         factors=factors,
@@ -223,8 +251,10 @@ def tucker2(
 
     Returns (U1, core, U2) with shapes (H, PR), (PR, PR), (PR, W) such that
     ``U1 @ core @ U2`` approximates ``matrix``.  ``method`` may be ``"hoi"``
-    (Algorithm 1) or ``"svd"`` (direct truncated SVD, the closed-form optimum
-    for matrices); both yield the same subspaces for order-2 tensors.
+    (Algorithm 1, initialized by the one-eigendecomposition matrix HOSVD of
+    :func:`hosvd`) or ``"svd"`` (direct truncated SVD, the closed-form
+    optimum for matrices); both yield the same subspaces for order-2
+    tensors.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:

@@ -336,6 +336,7 @@ class InferenceEngine:
         decode_committed = 0  # tokens from rows already decoding (metrics)
         spec_drafted = 0
         spec_accepted = 0
+        preempted: List[GenerationRequest] = []
         for index, (request, chunk) in enumerate(rows):
             drafted = draft_counts[index]
             # The forward advanced the cache over the chunk *and* any draft
@@ -350,9 +351,17 @@ class InferenceEngine:
                 self._append_token(request, token, completion)
                 emitted = 1
             else:
-                accepted, emitted = self._accept_drafts(
-                    request, row_logits[index], base, completion
-                )
+                try:
+                    accepted, emitted = self._accept_drafts(
+                        request, row_logits[index], base, completion
+                    )
+                except PoolExhaustedError:
+                    # The rollback had to fork a shared sealed page and the
+                    # store had none; truncate changed nothing and no token
+                    # was committed.  Recompute it: greedy re-prefill
+                    # regenerates the same tokens.
+                    self._preempt(request, preempted)
+                    continue
                 spec_drafted += drafted
                 spec_accepted += accepted
                 self.metrics.spec_steps += 1
@@ -366,6 +375,7 @@ class InferenceEngine:
             if request.done:
                 finished.append(request.request_id)
         self._running = [r for r in self._running if r.state in ACTIVE_STATES]
+        self._requeue(preempted)
         duration = max(self.timer() - started, 1e-9)
         if self.router is not None:
             self.router.note_step(duration)
@@ -714,6 +724,9 @@ class InferenceEngine:
         ``base`` is the logits index of the prefix-final token, so
         ``row_logits[base + i]`` is the verifier's greedy choice given the
         prefix plus the first ``i`` drafts.  Returns (accepted, emitted).
+        Raises :class:`PoolExhaustedError`, with both caches unchanged and
+        nothing committed, when the verifier's rollback finds no free page
+        to fork a shared sealed page with.
         """
         drafts = request.pending_drafts
         request.pending_drafts = []

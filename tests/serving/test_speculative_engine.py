@@ -10,13 +10,14 @@ when the engine goes idle.
 import numpy as np
 import pytest
 
-from repro.errors import ServingError
+from repro.errors import PoolExhaustedError, ServingError
 from repro.serving import (
     EngineConfig,
     InferenceEngine,
     RequestState,
     VariantRegistry,
 )
+from repro.serving.paged import PagedSequenceCache
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +124,40 @@ class TestPoolPressure:
         ]
         engine.run_until_idle()
         assert engine.metrics.preemptions > 0
+        assert_all_finished_exact(engine, requests)
+        assert_pools_drained(engine)
+
+    def test_rollback_without_a_fork_page_preempts_and_recomputes(
+        self, smoke_model, drafter, monkeypatch
+    ):
+        """A verifier rollback that must fork a shared sealed page with no
+        page free raises PoolExhaustedError and changes nothing.  The engine
+        preempts that request recompute-style instead of letting the error
+        escape ``step()`` after earlier rows committed their tokens."""
+        engine = spec_engine(smoke_model, drafter)
+        rng = np.random.default_rng(13)
+        requests = [
+            engine.submit(rng.integers(0, 128, size=6), 8, speculative=True)
+            for _ in range(3)
+        ]
+        victims = []
+        real_truncate = PagedSequenceCache.truncate
+
+        def truncate(cache, length):
+            if cache.store is engine.pool and not victims:
+                victims.extend(r for r in requests if r.cache is cache)
+                raise PoolExhaustedError("no free page to fork the cut page")
+            real_truncate(cache, length)
+
+        monkeypatch.setattr(PagedSequenceCache, "truncate", truncate)
+        steps = 0
+        while engine.has_work:
+            engine.step()
+            steps += 1
+            assert steps < 1000
+        assert len(victims) == 1
+        assert victims[0].preemptions == 1
+        assert engine.metrics.preemptions == 1
         assert_all_finished_exact(engine, requests)
         assert_pools_drained(engine)
 

@@ -1,7 +1,15 @@
 """Variant spec parsing and the lazy variant registry."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import repro
 
 from repro.errors import ServingError
 from repro.serving import VariantRegistry, parse_variant_spec
@@ -157,3 +165,37 @@ class TestQuantizedSpecs:
         VariantRegistry(smoke_model).get("dense-int8")
         for name, param in smoke_model.named_parameters():
             np.testing.assert_array_equal(param.data, before[name])
+
+
+_SERVE_RANK8_INT8 = textwrap.dedent(
+    """
+    import sys
+
+    import numpy as np
+
+    from repro.models import build_model
+    from repro.models.config import ModelConfig
+    from repro.serving import VariantRegistry
+
+    config = ModelConfig(
+        name="tiny", family="llama", vocab_size=64, dim=32, n_layers=2,
+        n_heads=4, n_kv_heads=2, mlp_hidden=64, max_seq_len=32,
+    )
+    base = build_model(config, rng=np.random.default_rng(0))
+    VariantRegistry(base).get("rank8-int8")
+    assert "scipy.linalg" not in sys.modules, "scipy.linalg was imported"
+    """
+)
+
+
+def test_materializing_a_decomposed_variant_never_imports_scipy_linalg():
+    """Importing ``scipy.linalg`` costs about 6 MB of resident memory, so
+    the serving path, decomposition included, keeps to NumPy's linalg."""
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    completed = subprocess.run(
+        [sys.executable, "-c", _SERVE_RANK8_INT8],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
