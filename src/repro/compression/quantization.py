@@ -213,7 +213,21 @@ class RealQuantizationReport:
 
     bits: int
     tensors: List[RealQuantizedTensor] = field(default_factory=list)
-    _originals: Dict[Tuple[int, str], object] = field(default_factory=dict, repr=False)
+    # ``None`` once dropped: the report then holds statistics only.
+    _originals: Optional[Dict[Tuple[int, str], object]] = field(
+        default_factory=dict, repr=False
+    )
+
+    def drop_originals(self) -> "RealQuantizationReport":
+        """Release the replaced fp32 modules; keep only the byte accounting.
+
+        A served model never swaps back, so the fp32 weights the grids
+        replaced should not stay resident.  Afterwards
+        :func:`restore_real_quantized` raises :class:`DecompositionError`.
+        Returns ``self``.
+        """
+        self._originals = None
+        return self
 
     @property
     def weight_bytes_before(self) -> float:
@@ -250,7 +264,8 @@ def quantize_model_real(
     and embedding stay fp32 — they dominate accuracy, not weight bytes,
     at the model scales this repo serves).  Dense and factorized targets
     both work; the report keeps the original modules so
-    :func:`restore_real_quantized` can swap them back.
+    :func:`restore_real_quantized` can swap them back (until
+    :meth:`RealQuantizationReport.drop_originals`).
     """
     if bits not in SUPPORTED_BITS:
         raise DecompositionError(f"bits must be one of {SUPPORTED_BITS}, got {bits}")
@@ -291,6 +306,11 @@ def quantize_model_real(
 
 def restore_real_quantized(model, report: RealQuantizationReport) -> None:
     """Undo :func:`quantize_model_real` by swapping the originals back."""
+    if report._originals is None:
+        raise DecompositionError(
+            "report holds statistics only (its original modules were "
+            "dropped); cannot restore"
+        )
     for (layer, role), module in report._originals.items():
         owner, attr = model.tensor_slot(layer, role)
         setattr(owner, attr, module)

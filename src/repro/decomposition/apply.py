@@ -4,13 +4,15 @@
 :class:`~repro.nn.FactorizedLinear` built from the Tucker-2 factors of its
 trained weight.  The returned report records per-tensor reconstruction
 errors and parameter movement, and retains the original layers so
-``restore`` can undo the surgery bit-exactly.
+``restore`` can undo the surgery bit-exactly — until
+:meth:`DecompositionReport.drop_originals` turns it into statistics only,
+as a served variant does so the dense weights it replaced are freed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -46,7 +48,21 @@ class DecompositionReport:
     tensors: List[TensorReport] = field(default_factory=list)
     model_parameters_before: int = 0
     model_parameters_after: int = 0
-    _originals: Dict[Tuple[int, str], Linear] = field(default_factory=dict, repr=False)
+    # ``None`` once dropped: the report then holds statistics only.
+    _originals: Optional[Dict[Tuple[int, str], Linear]] = field(
+        default_factory=dict, repr=False
+    )
+
+    def drop_originals(self) -> "DecompositionReport":
+        """Release the replaced dense layers; keep only the statistics.
+
+        A model that is served, never restored, should not keep its dense
+        weights alive next to the factors that replaced them.  Afterwards
+        :func:`restore` raises :class:`DecompositionError`.  Returns
+        ``self``.
+        """
+        self._originals = None
+        return self
 
     @property
     def parameters_saved(self) -> int:
@@ -152,7 +168,16 @@ def shape_model_spectrum(model, decay: float = 0.5) -> int:
 
 
 def restore(model, report: DecompositionReport) -> None:
-    """Undo :func:`decompose_model`, reinstating the original dense layers."""
+    """Undo :func:`decompose_model`, reinstating the original dense layers.
+
+    Raises :class:`DecompositionError` when ``report`` no longer holds them
+    (:meth:`DecompositionReport.drop_originals`).
+    """
+    if report._originals is None:
+        raise DecompositionError(
+            "report holds statistics only (its original layers were "
+            "dropped); cannot restore"
+        )
     for (layer, role), original in report._originals.items():
         owner, attribute = model.tensor_slot(layer, role)
         current = getattr(owner, attribute)

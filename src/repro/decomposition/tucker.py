@@ -9,6 +9,7 @@ transformer weight matrices:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -178,11 +179,23 @@ def hoi(
         "initialize with orthonormal columns" step.
     rng:
         Required for ``init="random"``.
+
+    A sweep refreshes mode n from the unfolding of T projected onto every
+    other factor, which has only prod(r_m, m != n) columns, so each rank
+    must satisfy r_n <= prod(r_m, m != n).  :class:`DecompositionError`
+    names the first mode that does not, before any sweep runs.
     """
     tensor = np.asarray(tensor, dtype=np.float64)
     if tensor.ndim < 2:
         raise DecompositionError("HOI requires a tensor of order >= 2")
     ranks = _validate_ranks(tensor.shape, ranks)
+    for mode, rank in enumerate(ranks):
+        bound = math.prod(ranks[:mode] + ranks[mode + 1 :])
+        if rank > bound:
+            raise DecompositionError(
+                f"HOI rank {rank} of mode {mode} exceeds {bound}, the product "
+                "of the other modes' ranks"
+            )
 
     if init == "hosvd":
         factors = hosvd(tensor, ranks).factors

@@ -99,7 +99,12 @@ class ProjectionShard:
 
 def _chunk(weight: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """A C-contiguous copy of columns ``[lo, hi)`` — the basic-slice copy
-    whose GEMM results match the canonical full-width view exactly."""
+    whose GEMM results match the canonical full-width view exactly.
+
+    A zero-copy view would hold less: about 40 MB less resident memory on
+    serve-llama at tp=2.  But each rank's GEMMs would then read strided
+    half-rows, which cost 4–6 % of decode throughput there, so the
+    shards stay copies (EXPERIMENTS.md, "Measured, not adopted")."""
     return np.ascontiguousarray(weight[:, lo:hi])
 
 

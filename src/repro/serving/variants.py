@@ -17,6 +17,9 @@ The registry materializes variants lazily: each spec gets its own freshly
 built model sharing the base weights (copied via ``state_dict``) with
 :func:`~repro.decomposition.apply.decompose_model` applied, so several
 variants can be benchmarked side by side without mutating the base model.
+A variant holds only what it serves: its reports keep statistics, not the
+modules decomposition and quantization replaced, so ``restore`` on them
+raises.
 
 With ``share_base=True`` the registry materializes *hot-swappable*
 variants instead: every undecomposed parameter aliases the base model's
@@ -164,12 +167,13 @@ class VariantRegistry:
         else:
             model.load_state_dict(self.base_model.state_dict())
         model.eval()
+        # Served, never restored: free the modules each step replaced.
         report = None
         if not decomposition.is_identity:
-            report = decompose_model(model, decomposition)
+            report = decompose_model(model, decomposition).drop_originals()
         quant = None
         if decomposition.bits is not None:
-            quant = quantize_model_real(model, decomposition.bits)
+            quant = quantize_model_real(model, decomposition.bits).drop_originals()
         model.eval()
         base_ids = {id(p.data) for _, p in self.base_model.named_parameters()}
         private = total = 0

@@ -200,6 +200,13 @@ class TestRealQuantization:
         restore_real_quantized(micro_llama, report)
         np.testing.assert_array_equal(micro_llama(tokens).data, before)
 
+    def test_restore_after_drop_originals_raises(self, micro_llama):
+        report = quantize_model_real(micro_llama, 8)
+        assert report.drop_originals() is report
+        assert report.memory_reduction_x > 3.0
+        with pytest.raises(DecompositionError, match="statistics only"):
+            restore_real_quantized(micro_llama, report)
+
     def test_memory_reduction_measured_above_3x_at_int8(self, micro_llama):
         report = quantize_model_real(micro_llama, 8)
         try:

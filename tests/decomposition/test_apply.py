@@ -133,6 +133,14 @@ class TestRestore:
         with pytest.raises(DecompositionError):
             restore(micro_llama, report)
 
+    def test_restore_after_drop_originals_raises(self, micro_llama, micro_llama_config):
+        config = DecompositionConfig.all_tensors(micro_llama_config, [0], rank=1)
+        report = decompose_model(micro_llama, config)
+        assert report.drop_originals() is report
+        assert report.tensors and report.parameter_reduction > 0.0
+        with pytest.raises(DecompositionError, match="statistics only"):
+            restore(micro_llama, report)
+
     def test_parameter_count_restored(self, micro_llama, micro_llama_config):
         before = micro_llama.num_parameters()
         config = DecompositionConfig.all_tensors(micro_llama_config, [1], rank=1)

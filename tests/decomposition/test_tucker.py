@@ -1,7 +1,11 @@
 """Algorithm 1 (HOI), HOSVD, and the mode-product algebra."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.decomposition import (
     best_rank_k_approximation,
@@ -211,3 +215,47 @@ class TestTucker2:
     def test_unknown_method_rejected(self):
         with pytest.raises(DecompositionError):
             tucker2(_random_tensor((4, 4)), 2, method="cp")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.lists(st.integers(1, 5), min_size=2, max_size=4),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_hoi_checks_each_rank_against_the_other_ranks_before_any_sweep(
+    shape, seed, data
+):
+    """HOI needs r_n <= prod(r_m, m != n) for every mode n; it says which
+    mode breaks that up front, where HOSVD accepts any in-range ranks."""
+    tensor = _random_tensor(tuple(shape), seed=seed)
+    # Ranks HOSVD takes: each within its dimension and its unfolding's width.
+    ranks = tuple(
+        data.draw(st.integers(1, min(dim, math.prod(shape) // dim))) for dim in shape
+    )
+    assert hosvd(tensor, ranks).core.shape == ranks
+    bounds = [math.prod(ranks[:n] + ranks[n + 1 :]) for n in range(len(ranks))]
+    broken = [n for n, (r, b) in enumerate(zip(ranks, bounds)) if r > b]
+    if not broken:
+        assert hoi(tensor, ranks, max_iterations=3).core.shape == ranks
+        return
+    mode = broken[0]
+    with pytest.raises(DecompositionError) as info:
+        hoi(tensor, ranks, max_iterations=3)
+    message = str(info.value)
+    assert f"mode {mode}" in message
+    assert f"rank {ranks[mode]}" in message
+    assert f"exceeds {bounds[mode]}" in message
+
+
+@pytest.mark.parametrize(
+    "shape, ranks, mode, bound",
+    [((10, 12), (5, 3), 0, 3), ((4, 4, 4), (1, 1, 2), 2, 1)],
+)
+def test_hoi_rejects_a_rank_above_the_other_ranks_product(shape, ranks, mode, bound):
+    tensor = _random_tensor(shape, seed=1)
+    hosvd(tensor, ranks)
+    match = rf"rank {ranks[mode]} of mode {mode} exceeds {bound}\b"
+    with pytest.raises(DecompositionError, match=match):
+        hoi(tensor, ranks)
+

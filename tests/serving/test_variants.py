@@ -1,17 +1,24 @@
 """Variant spec parsing and the lazy variant registry."""
 
+import gc
 import os
 import subprocess
 import sys
 import textwrap
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import repro
+import repro.serving.variants as variants_module
 
-from repro.errors import ServingError
+from repro.compression import restore_real_quantized
+from repro.decomposition import restore
+from repro.errors import DecompositionError, ServingError
+from repro.models import build_model
+from repro.nn import FactorizedLinear
 from repro.serving import VariantRegistry, parse_variant_spec
 
 
@@ -167,6 +174,65 @@ class TestQuantizedSpecs:
             np.testing.assert_array_equal(param.data, before[name])
 
 
+def _watch_replaced_weights(monkeypatch) -> list:
+    """Wrap the registry's decomposition and quantization calls so each
+    first takes a weakref to every weight array it is about to replace."""
+    refs = []
+
+    def watch(model, pairs):
+        for layer, role in pairs:
+            owner, attribute = model.tensor_slot(layer, role)
+            module = getattr(owner, attribute)
+            if isinstance(module, FactorizedLinear):
+                arrays = [module.u1.data, module.core.data, module.u2.data]
+            else:
+                arrays = [module.weight.data]
+            refs.extend(weakref.ref(array) for array in arrays)
+
+    decompose = variants_module.decompose_model
+    quantize = variants_module.quantize_model_real
+
+    def watched_decompose(model, config):
+        watch(model, config.pairs())
+        return decompose(model, config)
+
+    def watched_quantize(model, bits):
+        roles = model.config.tensor_roles
+        watch(model, [(layer, role) for layer in range(model.config.n_layers) for role in roles])
+        return quantize(model, bits)
+
+    monkeypatch.setattr(variants_module, "decompose_model", watched_decompose)
+    monkeypatch.setattr(variants_module, "quantize_model_real", watched_quantize)
+    return refs
+
+
+@pytest.mark.parametrize("share_base", [False, True])
+@pytest.mark.parametrize("spec", ["rank8-int8", "dense-int8"])
+def test_a_variant_frees_every_weight_it_replaced(
+    spec, share_base, smoke_config, monkeypatch
+):
+    """A served variant holds only its compressed weights: once the base
+    model and the registry are gone, no replaced dense or fp32-factor array
+    survives, and the statistics-only reports refuse to restore."""
+    refs = _watch_replaced_weights(monkeypatch)
+    base = build_model(smoke_config, rng=np.random.default_rng(0))
+    registry = VariantRegistry(base, share_base=share_base)
+    variant = registry.get(spec)
+    tokens = np.arange(6, dtype=np.int64)[None, :] % 11
+    logits = variant.model.forward(tokens).data.copy()
+    del base, registry
+    gc.collect()
+    layers, roles = smoke_config.n_layers, len(smoke_config.tensor_roles)
+    assert len(refs) == layers * roles * (4 if spec.startswith("rank") else 1)
+    assert all(ref() is None for ref in refs)
+    np.testing.assert_array_equal(variant.model.forward(tokens).data, logits)
+    with pytest.raises(DecompositionError, match="statistics only"):
+        restore_real_quantized(variant.model, variant.quant)
+    if variant.report is not None:
+        with pytest.raises(DecompositionError, match="statistics only"):
+            restore(variant.model, variant.report)
+
+
 _SERVE_RANK8_INT8 = textwrap.dedent(
     """
     import sys
@@ -196,6 +262,31 @@ def test_materializing_a_decomposed_variant_never_imports_scipy_linalg():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     completed = subprocess.run(
         [sys.executable, "-c", _SERVE_RANK8_INT8],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+
+
+_IMPORT_SERVING_STACK = textwrap.dedent(
+    """
+    import sys
+
+    import repro.models, repro.parallel, repro.runtime, repro.serving
+
+    loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+    assert not loaded, f"scipy modules imported: {loaded[:5]}"
+    """
+)
+
+
+def test_importing_the_serving_stack_never_imports_scipy():
+    """SciPy costs a serving process about 20 MB of resident memory; only
+    BERT's GELU uses it, so it is imported there, when first called."""
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    completed = subprocess.run(
+        [sys.executable, "-c", _IMPORT_SERVING_STACK],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert completed.returncode == 0, completed.stderr
