@@ -103,9 +103,17 @@ def _validate_ranks(shape: Tuple[int, ...], ranks: Sequence[int]) -> Tuple[int, 
         raise DecompositionError(
             f"need one rank per mode: shape {shape}, ranks {ranks}"
         )
-    for dim, rank in zip(shape, ranks):
+    for mode, (dim, rank) in enumerate(zip(shape, ranks)):
         if not 1 <= rank <= dim:
             raise DecompositionError(f"rank {rank} out of range [1, {dim}]")
+        # The mode's unfolding is dim x prod(other dims): no more leading
+        # singular vectors than its narrower side.
+        width = math.prod(shape[:mode] + shape[mode + 1 :])
+        if rank > width:
+            raise DecompositionError(
+                f"rank {rank} of mode {mode} exceeds {width}, the width of "
+                "the mode's unfolding (the product of the other dimensions)"
+            )
     return ranks
 
 

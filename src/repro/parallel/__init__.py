@@ -5,12 +5,10 @@ Public surface:
 - :class:`DeviceMesh` / :func:`shard_model` — partition a Llama model over
   a ``(pp, tp)`` grid: contiguous layer runs per stage, Megatron-style
   column shards along the canonical block grids within each stage.
-- :class:`LocalGroup` / :class:`ProcessGroup` — interchangeable collective
-  backends (threads + shared heap, spawned processes + shared memory)
-  with a fixed reduction order, plus point-to-point ``send``/``recv`` for
-  stage boundaries.
-- :class:`ShardedLlama` — thread-backed grid facade (serving-capable).
-- :class:`ProcessShardedLlama` — process-backed model facade.
+- :class:`LocalGroup` — the collective group of thread ranks over one
+  shared heap: a rank-ordered ``all_gather`` plus point-to-point
+  ``send``/``recv`` for stage boundaries.
+- :class:`ShardedLlama` — the grid facade (serving-capable).
 - :func:`analytic_comm` / :func:`analytic_p2p` — exact projections of the
   executor's all-gather and pipeline P2P traffic, validated
   byte-for-byte against the measured :class:`CommStats` channels.
@@ -30,7 +28,6 @@ from repro.parallel.local import (
     ShardedPagedStore,
     ShardedSequenceCache,
 )
-from repro.parallel.process import ProcessGroup, ProcessShardedLlama
 from repro.parallel.sharding import RankShard, shard_model
 from repro.runtime.program import StageProgram, partition_program
 
@@ -40,8 +37,6 @@ __all__ = [
     "CommStats",
     "DeviceMesh",
     "LocalGroup",
-    "ProcessGroup",
-    "ProcessShardedLlama",
     "RankExecutor",
     "RankShard",
     "ShardedLlama",

@@ -1,17 +1,10 @@
-"""Collective communication with interchangeable backends.
+"""Collective communication between the thread ranks of one process.
 
-Both backends expose the same four collectives — ``all_gather``,
-``all_reduce``, ``broadcast``, ``barrier`` — with a *fixed reduction
-order*: contributions are always combined rank 0 first, rank P-1 last,
-regardless of arrival order.  Floating-point addition is not associative,
-so this ordering (not just the math) is part of the contract that makes
-results bit-identical across world sizes and backends.
-
-- :class:`LocalGroup` runs ranks as threads of one process, synchronized
-  by a :class:`threading.Barrier`.  Deterministic and cheap — the backend
-  the test-suite equality sweeps and the serving engine use.
-- :class:`ProcessGroup` (in :mod:`repro.parallel.process`) runs ranks as
-  spawned processes exchanging payloads through POSIX shared memory.
+:class:`LocalGroup` runs ranks as threads of one process, synchronized by
+a :class:`threading.Barrier`, over one shared heap.  Its ``all_gather``
+combines contributions in a *fixed order* — rank 0 first, rank P-1 last,
+regardless of arrival order — so results are bit-identical across world
+sizes.
 
 Pipeline parallelism adds point-to-point ``send`` / ``recv`` (activations
 forward only — inference has no backward pass).  P2P transfers land in the
@@ -24,8 +17,8 @@ a ``payload`` result, every rank must receive all chunks it does not own,
 totalling ``(P-1) * payload`` across the group — an identity that holds
 regardless of how unevenly the chunks split, which is what lets the
 measured ledger agree *exactly* with the analytic projection.  The ledger
-also keeps a per-channel breakdown (``all_gather`` / ``all_reduce`` /
-``broadcast`` / ``p2p``) whose totals always sum to the top-level counters.
+also keeps a per-channel breakdown (``all_gather`` / ``p2p``) whose totals
+always sum to the top-level counters.
 """
 
 from __future__ import annotations
@@ -40,7 +33,7 @@ import numpy as np
 
 from repro.errors import ParallelError
 
-COMM_CHANNELS = ("all_gather", "all_reduce", "broadcast", "p2p")
+COMM_CHANNELS = ("all_gather", "p2p")
 
 
 @dataclass
@@ -106,29 +99,14 @@ def gather_wire_bytes(payload_bytes: int, world_size: int) -> int:
     return (world_size - 1) * payload_bytes
 
 
-def reduce_wire_bytes(payload_bytes: int, world_size: int) -> int:
-    """Ring all-reduce moves ``2 (P-1)/P`` of the payload per rank;
-    summed over ranks that is ``2 (P-1)`` payloads."""
-    return 2 * (world_size - 1) * payload_bytes
-
-
-def fixed_order_sum(parts: List[np.ndarray]) -> np.ndarray:
-    """Sum contributions rank 0 first — the deterministic reduction order
-    shared by every backend."""
-    total = parts[0].copy()
-    for part in parts[1:]:
-        total += part
-    return total
-
-
 _P2P_ABORT = object()  # sentinel flooding queues so blocked recvs unblock
 
 
 class LocalGroup:
     """In-process collective group: one thread per rank, shared memory.
 
-    Collectives are three-phase: (1) every rank deposits its contribution
-    and waits; (2) rank 0 combines in fixed rank order and publishes, all
+    The all-gather is three-phase: (1) every rank deposits its
+    contribution and waits; (2) rank 0 combines in fixed rank order and publishes, all
     wait; (3) every rank reads the shared result and waits once more so
     the slots can be reused.  The returned array is shared read-only by
     all ranks — callers must not mutate it.
@@ -218,10 +196,6 @@ class LocalGroup:
         return item
 
     # -- collectives -------------------------------------------------------
-    def barrier(self, rank: int) -> None:
-        if self.world_size > 1:
-            self._wait()
-
     def all_gather(self, rank: int, array: np.ndarray, axis: int = -1) -> np.ndarray:
         """Concatenate per-rank arrays along ``axis``, rank 0 first."""
         if self.world_size == 1:
@@ -241,50 +215,4 @@ class LocalGroup:
         self._wait()
         result = self._result
         self._wait()  # all ranks hold the result; slots are reusable
-        return result
-
-    def all_reduce(self, rank: int, array: np.ndarray) -> np.ndarray:
-        """Element-wise sum across ranks, combined in fixed rank order."""
-        if self.world_size == 1:
-            self.stats.record(array.nbytes, 0, channel="all_reduce")
-            return array
-        started = time.perf_counter()
-        self._slots[rank] = array
-        self._wait()
-        if rank == 0:
-            result = fixed_order_sum(self._slots)
-            self._result = result
-            self.stats.record(
-                result.nbytes,
-                reduce_wire_bytes(result.nbytes, self.world_size),
-                time.perf_counter() - started,
-                channel="all_reduce",
-            )
-        self._wait()
-        result = self._result
-        self._wait()
-        return result
-
-    def broadcast(self, rank: int, array: Optional[np.ndarray], root: int = 0) -> np.ndarray:
-        """Distribute ``root``'s array to every rank."""
-        if self.world_size == 1:
-            if array is None:
-                raise ParallelError("broadcast root must supply an array")
-            self.stats.record(array.nbytes, 0, channel="broadcast")
-            return array
-        started = time.perf_counter()
-        if rank == root:
-            if array is None:
-                raise ParallelError("broadcast root must supply an array")
-            self._result = array
-        self._wait()
-        result = self._result
-        if rank == 0:
-            self.stats.record(
-                result.nbytes,
-                (self.world_size - 1) * result.nbytes,
-                time.perf_counter() - started,
-                channel="broadcast",
-            )
-        self._wait()
         return result

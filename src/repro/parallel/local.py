@@ -271,12 +271,16 @@ class ShardedLlama:
     def _last_stage_rank(self) -> int:
         return (self.pp - 1) * self.tp
 
-    def forward(self, tokens: np.ndarray, pad_mask: Optional[np.ndarray] = None) -> Tensor:
-        tokens = np.asarray(tokens)
-        chunks = self._row_chunks(tokens.shape[0])
-        # A chunked forward defers the head: the tied-head GEMM's low bits
-        # depend on the row count, so the last stage runs its layers per
-        # chunk and the epilogue once over the concatenated batch.
+    def _stream(self, tokens: np.ndarray, chunks: List[Tuple[int, int]], step) -> Tensor:
+        """One forward: stream row ``chunks`` of ``tokens`` through the pipe.
+
+        ``step(executor, rank, lo, hi, hidden, skip_head)`` runs one rank's
+        pass over rows ``[lo, hi)``; ``hidden`` is the previous stage's
+        output (``None`` on stage 0).  A chunked forward defers the head:
+        the tied-head GEMM's low bits depend on the row count, so the last
+        stage runs its layers per chunk and the epilogue once over the
+        concatenated batch.
+        """
         defer_head = len(chunks) > 1
         self._account(tokens.shape[0] * tokens.shape[1], passes=len(chunks))
 
@@ -286,11 +290,7 @@ class ShardedLlama:
             outs: List[Tensor] = []
             for lo, hi in chunks:
                 hidden = self.pipe.recv(rank, rank - self.tp) if stage > 0 else None
-                mask = pad_mask[lo:hi] if pad_mask is not None else None
-                out = executor.forward(
-                    tokens[lo:hi], pad_mask=mask, hidden=hidden,
-                    skip_head=defer_head,
-                )
+                out = step(executor, rank, lo, hi, hidden, defer_head)
                 if stage < self.pp - 1:
                     self.pipe.send(rank, rank + self.tp, out.data)
                 else:
@@ -304,6 +304,17 @@ class ShardedLlama:
             return outs[0]
 
         return self._run(work)[self._last_stage_rank]
+
+    def forward(self, tokens: np.ndarray, pad_mask: Optional[np.ndarray] = None) -> Tensor:
+        tokens = np.asarray(tokens)
+
+        def step(executor, rank, lo, hi, hidden, skip_head):
+            mask = pad_mask[lo:hi] if pad_mask is not None else None
+            return executor.forward(
+                tokens[lo:hi], pad_mask=mask, hidden=hidden, skip_head=skip_head
+            )
+
+        return self._stream(tokens, self._row_chunks(tokens.shape[0]), step)
 
     def __call__(self, tokens: np.ndarray, pad_mask: Optional[np.ndarray] = None) -> Tensor:
         return self.forward(tokens, pad_mask=pad_mask)
@@ -321,37 +332,18 @@ class ShardedLlama:
         # width so chunked reductions match the full-batch pass bit for bit.
         offsets = np.asarray([cache.seq_len for cache in caches], dtype=np.int64)
         pad_to = int((offsets + lengths).max())
-        chunks = self._row_chunks(tokens.shape[0])
-        defer_head = len(chunks) > 1
-        self._account(tokens.shape[0] * tokens.shape[1], passes=len(chunks))
 
-        def work(rank: int) -> Optional[Tensor]:
-            stage = rank // self.tp
-            executor = self.executors[rank]
-            outs: List[Tensor] = []
-            for lo, hi in chunks:
-                hidden = self.pipe.recv(rank, rank - self.tp) if stage > 0 else None
-                out = executor.forward_ragged(
-                    tokens[lo:hi],
-                    [cache.rank_caches[rank] for cache in caches[lo:hi]],
-                    lengths[lo:hi],
-                    hidden=hidden,
-                    pad_to=pad_to,
-                    skip_head=defer_head,
-                )
-                if stage < self.pp - 1:
-                    self.pipe.send(rank, rank + self.tp, out.data)
-                else:
-                    outs.append(out)
-            if stage < self.pp - 1:
-                return None
-            if defer_head:
-                return executor.head_only(
-                    np.concatenate([out.data for out in outs], axis=0)
-                )
-            return outs[0]
+        def step(executor, rank, lo, hi, hidden, skip_head):
+            return executor.forward_ragged(
+                tokens[lo:hi],
+                [cache.rank_caches[rank] for cache in caches[lo:hi]],
+                lengths[lo:hi],
+                hidden=hidden,
+                pad_to=pad_to,
+                skip_head=skip_head,
+            )
 
-        return self._run(work)[self._last_stage_rank]
+        return self._stream(tokens, self._row_chunks(tokens.shape[0]), step)
 
     def forward_cached(self, tokens: np.ndarray, cache: ShardedSequenceCache) -> Tensor:
         """Forward over new ``tokens`` only, extending ``cache`` in place.
@@ -363,19 +355,11 @@ class ShardedLlama:
         streaming through the pipe one hop at a time.
         """
         tokens = np.asarray(tokens)
-        self._account(tokens.shape[0] * tokens.shape[1], passes=1)
 
-        def work(rank: int) -> Tensor:
-            stage = rank // self.tp
-            hidden = self.pipe.recv(rank, rank - self.tp) if stage > 0 else None
-            out = self.executors[rank].forward_cached(
-                tokens, cache.rank_caches[rank], hidden=hidden
-            )
-            if stage < self.pp - 1:
-                self.pipe.send(rank, rank + self.tp, out.data)
-            return out
+        def step(executor, rank, lo, hi, hidden, skip_head):
+            return executor.forward_cached(tokens, cache.rank_caches[rank], hidden=hidden)
 
-        return self._run(work)[self._last_stage_rank]
+        return self._stream(tokens, [(0, tokens.shape[0])], step)
 
     # -- serving hooks -----------------------------------------------------
     def make_kv_pool(self, n_blocks: int, block_tokens: int) -> ShardedPagedStore:

@@ -1,8 +1,7 @@
 """Partition a canonical LlamaModel into per-rank weight shards.
 
-Every shard is a plain dataclass of NumPy arrays — picklable, so the same
-:class:`RankShard` drives both the threaded :class:`~repro.parallel.local.
-ShardedLlama` backend and the spawned-process backend.
+Every shard is a plain dataclass of NumPy arrays; one :class:`RankShard`
+drives one grid cell of :class:`~repro.parallel.local.ShardedLlama`.
 
 Megatron-style layout over the canonical block grids:
 

@@ -614,9 +614,9 @@ def bench_routed(
 ) -> VariantBenchResult:
     """Replay ``trace`` on the adaptively routed engine (one result row).
 
-    The whole quality ladder is resident (``registry`` should be
-    ``share_base=True`` so extra rungs cost only their factor deltas), the
-    router walks it with load, and the result scores goodput from each
+    The whole quality ladder is resident (the registry's variants alias
+    the base, so extra rungs cost only their factor deltas), the router
+    walks it with load, and the result scores goodput from each
     request's *actual* served-variant history plus the router's decision
     log.  Collective-traffic accounting is per model facade and a routed
     step mixes facades, so the comm measured-vs-analytic comparison is not
@@ -746,8 +746,7 @@ def run_serve_bench(
     if router is not None and profile:
         raise ServingError("op profiling is per-variant; not supported with --router")
     gpu = get_gpu(gpu_name)
-    # Hot-swap layout when the whole ladder must be resident at once.
-    registry = VariantRegistry(base_model, share_base=router is not None)
+    registry = VariantRegistry(base_model)
     drafter = None if drafter_spec is None else registry.get(drafter_spec)
     specs = [spec.strip().lower() for spec in variant_specs]
     catalog = None

@@ -13,24 +13,20 @@ A *variant spec* is a short string naming how the base model's weights are
   (e.g. ``"dense-int8"``, ``"rank8-int8"``, ``"rank1-int8"`` — the
   compound rank × bits operating points the QoS ladder walks).
 
-The registry materializes variants lazily: each spec gets its own freshly
-built model sharing the base weights (copied via ``state_dict``) with
+The registry materializes variants lazily, each as a freshly built model
+whose parameters alias the base model's arrays (zero copy), with
 :func:`~repro.decomposition.apply.decompose_model` applied, so several
-variants can be benchmarked side by side without mutating the base model.
-A variant holds only what it serves: its reports keep statistics, not the
-modules decomposition and quantization replaced, so ``restore`` on them
-raises.
-
-With ``share_base=True`` the registry materializes *hot-swappable*
-variants instead: every undecomposed parameter aliases the base model's
-array (zero copy), and only the factor-structured U·Γ·V replacements are
+variants can be served side by side without mutating the base model.
+Only the factor-structured U·Γ·V replacements and the quantized grids are
 private (:class:`~repro.nn.factorized.FactorizedLinear` re-lays factors
 out C-contiguously, which makes them fresh arrays by construction).
 Holding the whole quality ladder resident then costs one dense model plus
 the factor deltas — the LoTR-style layout that lets the serving engine
 switch a live request's decode variant between steps without checkpoint
 reloads.  Each :class:`ModelVariant` records its ``private_bytes`` (what a
-hot-swap actually touches) next to the full dense footprint.
+hot-swap actually touches) next to the full footprint.  A variant holds
+only what it serves: its reports keep statistics, not the modules
+decomposition and quantization replaced, so ``restore`` on them raises.
 """
 
 from __future__ import annotations
@@ -98,7 +94,6 @@ class ModelVariant:
     model: object
     decomposition: DecompositionConfig
     report: Optional[DecompositionReport]  # None for the dense variant
-    shares_base: bool = False
     private_bytes: int = 0   # parameter bytes not aliased from the base
     total_bytes: int = 0     # full parameter footprint of this variant
     quant: Optional[RealQuantizationReport] = None  # set for -int<B> specs
@@ -129,17 +124,15 @@ class ModelVariant:
 class VariantRegistry:
     """Lazily materializes decomposed variants of one base model.
 
-    ``share_base=True`` switches to the hot-swap layout: undecomposed
-    parameters alias the base arrays instead of copying them, so the
-    marginal memory of each extra ladder variant is just its factor
-    deltas (``ModelVariant.private_bytes``).  Aliasing is read-only by
-    contract — serving never mutates weights — and decomposition replaces
-    target modules wholesale, so the base model is never written through.
+    Undecomposed parameters alias the base arrays, so the marginal memory
+    of each extra ladder variant is just its factor deltas
+    (``ModelVariant.private_bytes``).  Aliasing is read-only by contract —
+    serving never mutates weights — and decomposition replaces target
+    modules wholesale, so the base model is never written through.
     """
 
-    def __init__(self, base_model, share_base: bool = False) -> None:
+    def __init__(self, base_model) -> None:
         self.base_model = base_model
-        self.share_base = share_base
         self.config: ModelConfig = base_model.config
         self._variants: Dict[str, ModelVariant] = {}
 
@@ -160,12 +153,9 @@ class VariantRegistry:
     def _materialize(self, spec: str) -> ModelVariant:
         decomposition = parse_variant_spec(spec, self.config)
         model = build_model(self.config)
-        if self.share_base:
-            base_params = dict(self.base_model.named_parameters())
-            for name, param in model.named_parameters():
-                param.data = base_params[name].data
-        else:
-            model.load_state_dict(self.base_model.state_dict())
+        base_params = dict(self.base_model.named_parameters())
+        for name, param in model.named_parameters():
+            param.data = base_params[name].data
         model.eval()
         # Served, never restored: free the modules each step replaced.
         report = None
@@ -193,8 +183,7 @@ class VariantRegistry:
             model=model,
             decomposition=decomposition,
             report=report,
-            shares_base=self.share_base,
-            private_bytes=private if self.share_base else total,
+            private_bytes=private,
             total_bytes=total,
             quant=quant,
         )

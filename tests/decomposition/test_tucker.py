@@ -259,3 +259,8 @@ def test_hoi_rejects_a_rank_above_the_other_ranks_product(shape, ranks, mode, bo
     with pytest.raises(DecompositionError, match=match):
         hoi(tensor, ranks)
 
+
+
+def test_hosvd_rejects_a_rank_above_its_unfolding_width():
+    with pytest.raises(DecompositionError, match=r"rank 2 of mode 1 exceeds 1\b"):
+        hosvd(np.ones((1, 2)), (1, 2))

@@ -1,4 +1,4 @@
-"""Collective semantics: fixed reduction order, stats ledger, aborts."""
+"""Collective semantics: rank-ordered all-gather, stats ledger, aborts."""
 
 import threading
 
@@ -6,13 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ParallelError
-from repro.parallel.collectives import (
-    CommStats,
-    LocalGroup,
-    fixed_order_sum,
-    gather_wire_bytes,
-    reduce_wire_bytes,
-)
+from repro.parallel.collectives import CommStats, LocalGroup, gather_wire_bytes
 
 
 def run_ranks(group, fn):
@@ -42,25 +36,9 @@ def run_ranks(group, fn):
 
 
 class TestHelpers:
-    def test_fixed_order_sum_is_left_to_right(self):
-        # Floating point addition is not associative: the fixed order must
-        # match a plain left-to-right loop, not a pairwise tree.
-        parts = [np.array([1e8], dtype=np.float32),
-                 np.array([-1e8], dtype=np.float32),
-                 np.array([1.0], dtype=np.float32),
-                 np.array([0.25], dtype=np.float32)]
-        expected = ((parts[0] + parts[1]) + parts[2]) + parts[3]
-        np.testing.assert_array_equal(fixed_order_sum(parts), expected)
-
-    def test_fixed_order_sum_does_not_mutate_inputs(self):
-        parts = [np.ones(3, dtype=np.float32), np.ones(3, dtype=np.float32)]
-        fixed_order_sum(parts)
-        np.testing.assert_array_equal(parts[0], np.ones(3, dtype=np.float32))
-
     def test_wire_byte_identities(self):
         assert gather_wire_bytes(1000, 4) == 3000
         assert gather_wire_bytes(1000, 1) == 0
-        assert reduce_wire_bytes(1000, 4) == 6000
 
     def test_stats_record_and_snapshot(self):
         stats = CommStats()
@@ -84,8 +62,7 @@ class TestHelpers:
                 },
             },
         }
-        # snapshot round-trips through the constructor (the process backend
-        # ships stats across the pipe this way)
+        # snapshot round-trips through the constructor
         assert CommStats(**snap).snapshot() == snap
 
     def test_stats_channels_split_by_primitive(self):
@@ -101,7 +78,7 @@ class TestHelpers:
             "calls": 2, "payload_bytes": 80, "wire_bytes": 80, "elapsed_s": 0.0,
         }
         # Never-fired channels read as zeros, not KeyError.
-        assert stats.channel("all_reduce")["calls"] == 0
+        assert CommStats().channel("p2p")["calls"] == 0
         snap = stats.snapshot()
         assert CommStats(**snap).snapshot() == snap
 
@@ -134,43 +111,12 @@ class TestLocalGroup:
         assert group.stats.payload_bytes == expected.nbytes
         assert group.stats.wire_bytes == 2 * expected.nbytes
 
-    def test_all_reduce_uses_fixed_rank_order(self):
-        group = LocalGroup(4)
-        parts = [np.array([1e8], dtype=np.float32),
-                 np.array([-1e8], dtype=np.float32),
-                 np.array([1.0], dtype=np.float32),
-                 np.array([0.25], dtype=np.float32)]
-        results = run_ranks(group, lambda rank: group.all_reduce(rank, parts[rank]))
-        expected = fixed_order_sum(parts)
-        for result in results:
-            np.testing.assert_array_equal(result, expected)
-        assert group.stats.wire_bytes == 2 * 3 * expected.nbytes
-
-    def test_broadcast_from_nonzero_root(self):
-        group = LocalGroup(3)
-        payload = np.arange(6, dtype=np.float32).reshape(2, 3)
-        results = run_ranks(
-            group,
-            lambda rank: group.broadcast(
-                rank, payload if rank == 2 else None, root=2
-            ),
-        )
-        for result in results:
-            np.testing.assert_array_equal(result, payload)
-
     def test_world_size_one_fast_paths(self):
         group = LocalGroup(1)
         array = np.ones((3, 4), dtype=np.float32)
         assert group.all_gather(0, array) is array
-        assert group.all_reduce(0, array) is array
-        assert group.broadcast(0, array) is array
-        group.barrier(0)
-        assert group.stats.calls == 3
+        assert group.stats.calls == 1
         assert group.stats.wire_bytes == 0  # nothing crosses a link
-
-    def test_world_size_one_broadcast_requires_array(self):
-        with pytest.raises(ParallelError):
-            LocalGroup(1).broadcast(0, None)
 
     def test_abort_releases_blocked_peers(self):
         group = LocalGroup(2)

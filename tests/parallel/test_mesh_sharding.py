@@ -125,13 +125,3 @@ class TestShardModel:
         shards = shard_model(model, DeviceMesh(2))
         shards[0].layers[0].w_q.weight[:] = -1.0
         np.testing.assert_array_equal(model.blocks[0].attn.w_q.weight.data, before)
-
-    def test_shards_are_picklable(self, model):
-        import pickle
-
-        shards = shard_model(model, DeviceMesh(2))
-        restored = pickle.loads(pickle.dumps(shards[1]))
-        assert restored.rank == 1
-        np.testing.assert_array_equal(
-            restored.layers[0].w_q.weight, shards[1].layers[0].w_q.weight
-        )

@@ -39,7 +39,7 @@ def reference_tokens(model, request):
 
 @pytest.fixture(scope="module")
 def registry(smoke_model):
-    return VariantRegistry(smoke_model, share_base=True)
+    return VariantRegistry(smoke_model)
 
 
 #: Chunked prefill under load: prompts longer than the token budget arrive

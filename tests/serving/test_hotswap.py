@@ -25,7 +25,7 @@ from repro.serving import (
 
 @pytest.fixture(scope="module")
 def registry(smoke_model):
-    return VariantRegistry(smoke_model, share_base=True)
+    return VariantRegistry(smoke_model)
 
 
 def engine_config(paged: bool, **overrides):

@@ -370,7 +370,7 @@ class TestRoutedEngineConstruction:
             engine.submit(np.arange(4), 2, qos=unresolved)
 
     def test_off_ladder_floor_rejected_at_submit(self, smoke_model):
-        registry = VariantRegistry(smoke_model, share_base=True)
+        registry = VariantRegistry(smoke_model)
         engine = InferenceEngine(
             None,
             engine_config(),
@@ -443,7 +443,7 @@ class TestRoutedBeatsFixed:
 
     @pytest.fixture(scope="class")
     def scores(self, smoke_model):
-        registry = VariantRegistry(smoke_model, share_base=True)
+        registry = VariantRegistry(smoke_model)
         trace = virtual_trace()
         catalog = virtual_catalog()
         # upgrade_at=2: inter-burst gaps drain the backlog to the last
@@ -517,7 +517,7 @@ class TestDenseDegeneracy:
             qos_mix={"gold": 1.0},
         )
         catalog = {"gold": QoSClass("gold", quality_floor="dense", ttft_slo_s=5.0)}
-        registry = VariantRegistry(smoke_model, share_base=True)
+        registry = VariantRegistry(smoke_model)
         router = RankRouter(QUALITY_LADDER, RouterConfig())
         routed_engine = InferenceEngine(
             None,

@@ -19,7 +19,12 @@ from repro.decomposition import restore
 from repro.errors import DecompositionError, ServingError
 from repro.models import build_model
 from repro.nn import FactorizedLinear
-from repro.serving import VariantRegistry, parse_variant_spec
+from repro.serving import (
+    EngineConfig,
+    InferenceEngine,
+    VariantRegistry,
+    parse_variant_spec,
+)
 
 
 class TestParseVariantSpec:
@@ -84,17 +89,16 @@ class TestVariantRegistry:
 
 class TestSharedBaseRegistry:
     def test_dense_variant_aliases_base_arrays(self, smoke_model):
-        registry = VariantRegistry(smoke_model, share_base=True)
+        registry = VariantRegistry(smoke_model)
         variant = registry.get("dense")
         base = dict(smoke_model.named_parameters())
         for name, param in variant.model.named_parameters():
             assert np.shares_memory(param.data, base[name].data), name
-        assert variant.shares_base is True
         assert variant.private_bytes == 0
         assert variant.total_bytes > 0
 
     def test_decomposed_factors_are_private(self, smoke_model):
-        registry = VariantRegistry(smoke_model, share_base=True)
+        registry = VariantRegistry(smoke_model)
         variant = registry.get("rank8")
         base_ids = {
             id(p.data) for _, p in smoke_model.named_parameters()
@@ -108,28 +112,10 @@ class TestSharedBaseRegistry:
         assert 0 < variant.private_bytes < variant.total_bytes
 
     def test_ladder_materializes_all_specs(self, smoke_model):
-        registry = VariantRegistry(smoke_model, share_base=True)
+        registry = VariantRegistry(smoke_model)
         ladder = registry.ladder(("dense", "rank8", "rank1"))
         assert set(ladder) == {"dense", "rank8", "rank1"}
         assert ladder["dense"] is registry.get("dense").model
-
-    def test_shared_base_variants_stay_logit_identical_to_copies(self, smoke_model):
-        """Aliasing is an optimization: decomposition on a shared-base
-        variant must give the same logits as on a state_dict copy."""
-        shared = VariantRegistry(smoke_model, share_base=True).get("rank1")
-        copied = VariantRegistry(smoke_model, share_base=False).get("rank1")
-        tokens = np.arange(6, dtype=np.int64)[None, :] % 11
-        np.testing.assert_allclose(
-            shared.model.forward(tokens).data,
-            copied.model.forward(tokens).data,
-            rtol=1e-6,
-            atol=1e-7,
-        )
-
-    def test_copy_registry_reports_full_private_bytes(self, smoke_model):
-        variant = VariantRegistry(smoke_model, share_base=False).get("dense")
-        assert variant.shares_base is False
-        assert variant.private_bytes == variant.total_bytes
 
 
 class TestQuantizedSpecs:
@@ -206,17 +192,14 @@ def _watch_replaced_weights(monkeypatch) -> list:
     return refs
 
 
-@pytest.mark.parametrize("share_base", [False, True])
 @pytest.mark.parametrize("spec", ["rank8-int8", "dense-int8"])
-def test_a_variant_frees_every_weight_it_replaced(
-    spec, share_base, smoke_config, monkeypatch
-):
+def test_a_variant_frees_every_weight_it_replaced(spec, smoke_config, monkeypatch):
     """A served variant holds only its compressed weights: once the base
     model and the registry are gone, no replaced dense or fp32-factor array
     survives, and the statistics-only reports refuse to restore."""
     refs = _watch_replaced_weights(monkeypatch)
     base = build_model(smoke_config, rng=np.random.default_rng(0))
-    registry = VariantRegistry(base, share_base=share_base)
+    registry = VariantRegistry(base)
     variant = registry.get(spec)
     tokens = np.arange(6, dtype=np.int64)[None, :] % 11
     logits = variant.model.forward(tokens).data.copy()
@@ -231,6 +214,32 @@ def test_a_variant_frees_every_weight_it_replaced(
     if variant.report is not None:
         with pytest.raises(DecompositionError, match="statistics only"):
             restore(variant.model, variant.report)
+
+
+@pytest.mark.parametrize("spec", ["dense", "rank8", "rank8-int8", "dense-int8"])
+def test_variants_serve_from_a_read_only_base(spec, smoke_config):
+    """Variants alias the base model's arrays, so neither materializing nor
+    serving may write to them: with every base array read-only, each spec
+    still materializes and its engine output matches greedy decoding."""
+    base = build_model(smoke_config, rng=np.random.default_rng(0))
+    for _, param in base.named_parameters():
+        param.data.setflags(write=False)
+    model = VariantRegistry(base).get(spec).model
+    engine = InferenceEngine(
+        model, EngineConfig(max_batch=4, token_budget=24, n_blocks=24, block_tokens=8)
+    )
+    rng = np.random.default_rng(1)
+    requests = [
+        engine.submit(rng.integers(0, smoke_config.vocab_size, size=length), 6)
+        for length in (5, 11, 3)
+    ]
+    while engine.has_work:
+        engine.step()
+    for request in requests:
+        expected = model.greedy_generate(request.prompt, max_new_tokens=6)
+        np.testing.assert_array_equal(
+            np.asarray(expected).reshape(-1), request.tokens
+        )
 
 
 _SERVE_RANK8_INT8 = textwrap.dedent(
