@@ -192,13 +192,20 @@ def _watch_replaced_weights(monkeypatch) -> list:
     return refs
 
 
+@pytest.mark.parametrize("read_only_base", [False, True])
 @pytest.mark.parametrize("spec", ["rank8-int8", "dense-int8"])
-def test_a_variant_frees_every_weight_it_replaced(spec, smoke_config, monkeypatch):
+def test_a_variant_frees_every_weight_it_replaced(
+    spec, read_only_base, smoke_config, monkeypatch
+):
     """A served variant holds only its compressed weights: once the base
     model and the registry are gone, no replaced dense or fp32-factor array
-    survives, and the statistics-only reports refuse to restore."""
+    survives, and the statistics-only reports refuse to restore. This holds
+    whether or not the base arrays are writable."""
     refs = _watch_replaced_weights(monkeypatch)
     base = build_model(smoke_config, rng=np.random.default_rng(0))
+    if read_only_base:
+        for _, param in base.named_parameters():
+            param.data.setflags(write=False)
     registry = VariantRegistry(base)
     variant = registry.get(spec)
     tokens = np.arange(6, dtype=np.int64)[None, :] % 11
