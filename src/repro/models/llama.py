@@ -179,10 +179,6 @@ class LlamaModel(Module):
         """Forward over new ``tokens`` only, extending ``cache`` in place."""
         return self.runtime.forward_cached(np.asarray(tokens), cache)
 
-    # Kept under its historical name for callers of the pre-runtime API.
-    def _forward_with_cache(self, tokens: np.ndarray, cache) -> Tensor:
-        return self.forward_cached(tokens, cache)
-
     def greedy_generate(
         self,
         prompt: np.ndarray,

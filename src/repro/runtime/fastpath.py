@@ -737,7 +737,7 @@ def _attention_dense(state: FastState, layer: int, x: np.ndarray,
     else:
         keys, values = kh, vh
     total = offset + seq_len
-    scores = ws.seq_buf("scores", (batch, state.n_q_heads, seq_len, total), axis=3)
+    scores = ws.buf("scores", (batch, state.n_q_heads, seq_len, total))
     region.start()
     _per_kv_head(qh, keys.transpose(0, 1, 3, 2), state.kv_runs, scores)
     np.multiply(scores, state.scale, out=scores)
@@ -934,8 +934,7 @@ def _attention_ragged(state: FastState, layer: int, x: np.ndarray, ragged,
     region.start()
     keys, values = _stage_kv(state, layer, plan, ragged, kh, vh)
     region.stop(f"layer{layer}.attn.cache")
-    scores = ws.seq_buf("scores", (batch, state.n_q_heads, max_new, plan.width),
-                        axis=3)
+    scores = ws.buf("scores", (batch, state.n_q_heads, max_new, plan.width))
     region.start()
     _per_kv_head(qh, keys.transpose(0, 1, 3, 2), state.kv_runs, scores)
     np.multiply(scores, state.scale, out=scores)

@@ -3,28 +3,31 @@
 The fast-path kernels in :mod:`repro.runtime.fastpath` never allocate
 result arrays in the hot loop: every intermediate — projection outputs,
 rotated queries, attention scores, softmax statistics — is written with
-``out=`` into a named buffer owned by a :class:`Workspace`.  Buffers are
-keyed by ``(name, shape, dtype)``, so a steady-state decode loop (constant
-shapes step after step) touches only existing memory; a new shape (the
-prefill, a differently composed ragged batch) materializes its own buffer
-once and reuses it from then on.
+``out=`` into a named buffer owned by a :class:`Workspace`.
 
-Sequence-length-dependent buffers go through :meth:`Workspace.seq_buf`,
-which backs the designated axis with geometrically grown capacity (the
-same strategy as :class:`~repro.nn.kv_cache.LayerKVCache`) and returns an
-exact-shape basic-slice view.  Views keep the backing buffer's unit inner
-stride, so the GEMMs writing into them stay on the BLAS path — the bit
-pattern of every result is identical to a freshly allocated output.
+Each name owns one flat float32 backing array.  :meth:`Workspace.buf`
+hands out a C-contiguous prefix view of it in the requested shape; a
+larger request grows the array geometrically (doubling), a smaller one
+reuses it, and nothing is ever shrunk or evicted.  So the arena's size is
+bounded by the largest shape each name has seen — not by the number of
+distinct batch shapes a server meets — and a steady-state decode loop
+touches only existing memory.  A prefix view has the same layout and
+alignment as a freshly allocated array of its shape, so the GEMMs writing
+into it stay on the BLAS path and every result is bit-identical.  The
+price is that two live views under one name share memory: callers give
+every simultaneously live buffer its own name, and fully overwrite what
+they read back.
 
 Quantized projections additionally use :meth:`Workspace.cache`: a
-*content-tagged* buffer region with an explicit byte budget
-(:data:`DEFAULT_DEQUANT_CACHE_BYTES`).  Dequantized weights are written
-once and reused across decode steps as long as their tag (the identity of
-the int8 grid + scales) is unchanged; when the budget is exhausted the
-kernels fall back to streaming blockwise dequantization through ordinary
-:meth:`Workspace.buf` scratch, bounded by the largest single block.  The
-budget is what keeps the dequant footprint a tunable scratch cost rather
-than an unconditional fp32 copy of every quantized weight.
+*content-tagged* buffer in the same per-name store, under an explicit
+byte budget (:data:`DEFAULT_DEQUANT_CACHE_BYTES`).  Dequantized weights
+are written once and reused across decode steps as long as their tag (the
+identity of the int8 grid + scales, and the shape) is unchanged; when the
+budget is exhausted the kernels fall back to streaming blockwise
+dequantization through ordinary :meth:`Workspace.buf` scratch, bounded by
+the largest single block.  The budget is what keeps the dequant footprint
+a tunable scratch cost rather than an unconditional fp32 copy of every
+quantized weight.
 
 Ragged attention keeps each layer's K/V history in a persistent
 :meth:`Workspace.stage` pair (a :class:`KVStage`): staging slots keyed by
@@ -40,11 +43,10 @@ contract: once the decode loop is warm, both counters must stop moving.
 
 from __future__ import annotations
 
+from math import prod
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-
-_INITIAL_CAPACITY = 32
 
 #: Default budget for the tag-validated dequantized-weight cache.  Sized so
 #: every model in the registry that fits this repo's CPU-scale serving also
@@ -59,6 +61,12 @@ def _grow(capacity: int, needed: int) -> int:
     while capacity < needed:
         capacity *= 2
     return capacity
+
+
+def _resize(array: Optional[np.ndarray], size: int) -> int:
+    """Elements of the array that replaces ``array`` to hold ``size``: exact
+    on first use, else ``array``'s size doubled until it fits."""
+    return size if array is None else _grow(array.size, size)
 
 
 class KVStage:
@@ -104,16 +112,15 @@ class KVStage:
 
 
 class Workspace:
-    """Named reusable buffers with allocation accounting."""
+    """Named reusable float32 buffers with allocation accounting."""
 
-    __slots__ = ("_exact", "_grown", "_cache", "_stages", "cache_limit",
-                 "cache_bytes", "allocations", "bytes_allocated",
-                 "stage_hits", "stage_misses")
+    __slots__ = ("_arrays", "_cached", "_stages", "cache_limit", "cache_bytes",
+                 "allocations", "bytes_allocated", "stage_hits", "stage_misses")
 
     def __init__(self, cache_limit: Optional[int] = None) -> None:
-        self._exact: Dict[tuple, np.ndarray] = {}
-        self._grown: Dict[tuple, np.ndarray] = {}
-        self._cache: Dict[tuple, Tuple[np.ndarray, tuple]] = {}
+        self._arrays: Dict[str, np.ndarray] = {}
+        # Dequant-cache names: the tag of the last fill and its view.
+        self._cached: Dict[str, Tuple[tuple, np.ndarray]] = {}
         self._stages: Dict[tuple, KVStage] = {}
         self.cache_limit = (
             DEFAULT_DEQUANT_CACHE_BYTES if cache_limit is None else cache_limit
@@ -127,104 +134,69 @@ class Workspace:
         self.stage_hits = 0
         self.stage_misses = 0
 
-    def _allocate(self, shape: Tuple[int, ...], dtype, zero: bool) -> np.ndarray:
-        array = np.zeros(shape, dtype=dtype) if zero else np.empty(shape, dtype=dtype)
+    @property
+    def buffers(self) -> int:
+        """Backing arrays held: one per name, plus each stage's pair."""
+        return len(self._arrays) + 2 * len(self._stages)
+
+    def _allocate(self, shape, zero: bool = False) -> np.ndarray:
+        array = (np.zeros if zero else np.empty)(shape, dtype=np.float32)
         self.allocations += 1
         self.bytes_allocated += array.nbytes
         return array
 
-    def buf(self, name: str, shape: Tuple[int, ...], dtype=np.float32) -> np.ndarray:
-        """The exact-shape buffer registered under ``(name, shape, dtype)``.
+    def buf(self, name: str, shape: Tuple[int, ...]) -> np.ndarray:
+        """A C-contiguous ``shape``-d prefix view of the array under ``name``.
 
         Contents are whatever the previous use left behind; every caller
         must fully overwrite the region it reads back.
         """
-        key = (name, shape, np.dtype(dtype).str)
-        array = self._exact.get(key)
-        if array is None:
-            array = self._allocate(shape, dtype, zero=False)
-            self._exact[key] = array
-        return array
+        size = prod(shape)
+        array = self._arrays.get(name)
+        if array is None or array.size < size:
+            array = self._allocate(_resize(array, size))
+            self._arrays[name] = array
+        return array[:size].reshape(shape)
 
     def cache(
-        self,
-        name: str,
-        shape: Tuple[int, ...],
-        tag: tuple,
-        dtype=np.float32,
+        self, name: str, shape: Tuple[int, ...], tag: tuple
     ) -> Optional[Tuple[np.ndarray, bool]]:
         """A content-tagged buffer under the dequant-cache budget.
 
         Returns ``(array, fresh)`` — ``fresh`` is True when the caller must
-        (re)fill the buffer: on first allocation and whenever ``tag``
-        differs from the tag recorded at the last fill.  With an unchanged
-        tag the previous contents are valid, so a warm decode loop skips
-        the fill entirely.  Returns ``None`` when allocating would exceed
+        (re)fill the buffer: on first use and whenever ``tag`` or ``shape``
+        differs from the last fill's.  With both unchanged the previous
+        contents are valid, so a warm decode loop skips the fill entirely.
+        Returns ``None`` when growing the name's array would exceed
         ``cache_limit``; callers then stream through :meth:`buf` scratch.
 
         Tags are identity-based by convention (``id`` of the source
         arrays): the cache assumes quantized grids are immutable once
         built — rebinding to new arrays retags, in-place mutation does
         not.  Entries are never evicted; per-projection structural names
-        keep the entry count bounded by the model's projection count.
+        keep the entry count bounded by the model's projection count, and
+        a name whose shape changes (a model decomposed in place) grows its
+        one array, with the growth charged to the budget.
         """
-        key = (name, shape, np.dtype(dtype).str)
-        entry = self._cache.get(key)
-        if entry is not None:
-            array, stored = entry
-            if stored != tag:
-                self._cache[key] = (array, tag)
-                return array, True
-            return array, False
-        nbytes = int(np.prod(shape, dtype=np.int64)) * np.dtype(dtype).itemsize
-        if self.cache_bytes + nbytes > self.cache_limit:
-            return None
-        array = self._allocate(shape, dtype, zero=False)
-        self.cache_bytes += nbytes
-        self._cache[key] = (array, tag)
-        return array, True
-
-    def seq_buf(
-        self,
-        name: str,
-        shape: Tuple[int, ...],
-        axis: int,
-        dtype=np.float32,
-        zero: bool = False,
-    ) -> np.ndarray:
-        """A ``shape``-d view of a buffer grown geometrically along ``axis``.
-
-        ``zero`` zero-fills the backing array at (re)allocation only: grown
-        regions start as exact 0.0f, never ``np.empty`` garbage.  Stale
-        values from earlier (shorter) uses are *not* re-zeroed — callers
-        relying on zeros beyond their write extent must mask those
-        positions downstream (the ragged attention path does: masked
-        positions get an exact-zero softmax weight, and ``0.0 * finite``
-        is exactly ``0.0``, so stale finite values cannot perturb a bit).
-        """
-        axis = axis % len(shape)
-        fixed = shape[:axis] + shape[axis + 1 :]
-        key = (name, fixed, axis, np.dtype(dtype).str)
-        needed = shape[axis]
-        array = self._grown.get(key)
-        if array is None or array.shape[axis] < needed:
-            capacity = _grow(
-                _INITIAL_CAPACITY if array is None else array.shape[axis], needed
-            )
-            full = shape[:axis] + (capacity,) + shape[axis + 1 :]
-            array = self._allocate(full, dtype, zero=zero)
-            self._grown[key] = array
-        index = (slice(None),) * axis + (slice(0, needed),)
-        return array[index]
+        entry = self._cached.get(name)
+        if entry is not None and entry[1].shape == shape:
+            stored, view = entry
+            self._cached[name] = (tag, view)
+            return view, stored != tag
+        size = prod(shape)
+        array = self._arrays.get(name)
+        have = 0 if array is None else array.size
+        if size > have:
+            grown = _resize(array, size) - have
+            if self.cache_bytes + 4 * grown > self.cache_limit:
+                return None
+            self.cache_bytes += 4 * grown
+        view = self.buf(name, shape)
+        self._cached[name] = (tag, view)
+        return view, True
 
     def stage(
-        self,
-        name: str,
-        rows: int,
-        heads: int,
-        width: int,
-        head_dim: int,
-        dtype=np.float32,
+        self, name: str, rows: int, heads: int, width: int, head_dim: int
     ) -> KVStage:
         """The staging pair under ``name``, holding at least ``rows`` slots
         of ``width`` positions.
@@ -232,10 +204,10 @@ class Workspace:
         Both capacities double from use — never from a model's maximum
         sequence length — and a grow copies the old slots and records
         over, so staged history survives it.  Grown regions start as exact
-        0.0f; as with :meth:`seq_buf`, positions past a row's valid length
-        hold stale finite values that callers must mask.
+        0.0f; positions past a row's valid length hold stale finite values
+        that callers must mask.
         """
-        key = (name, heads, head_dim, np.dtype(dtype).str)
+        key = (name, heads, head_dim)
         stage = self._stages.get(key)
         if stage is not None:
             have_rows, _, have_width, _ = stage.keys.shape
@@ -244,8 +216,8 @@ class Workspace:
         else:
             have_rows = have_width = 0
         shape = (_grow(have_rows, rows), heads, _grow(have_width, width), head_dim)
-        keys = self._allocate(shape, dtype, zero=True)
-        values = self._allocate(shape, dtype, zero=True)
+        keys = self._allocate(shape, zero=True)
+        values = self._allocate(shape, zero=True)
         records: List[Optional[Tuple[object, int]]] = [None] * shape[0]
         if stage is not None:
             keys[:have_rows, :, :have_width] = stage.keys
@@ -256,10 +228,8 @@ class Workspace:
         return stage
 
     def __repr__(self) -> str:
-        buffers = (len(self._exact) + len(self._grown) + len(self._cache)
-                   + 2 * len(self._stages))
         return (
-            f"Workspace(buffers={buffers}, "
+            f"Workspace(buffers={self.buffers}, "
             f"allocations={self.allocations}, "
             f"bytes={self.bytes_allocated:,})"
         )

@@ -77,7 +77,7 @@ class TestForwardRagged:
         reference = []
         ref_caches = [ModelKVCache(config.n_layers) for _ in prompts]
         for prompt, cache in zip(prompts, ref_caches):
-            logits = micro_llama._forward_with_cache(prompt.reshape(1, -1), cache)
+            logits = micro_llama.forward_cached(prompt.reshape(1, -1), cache)
             reference.append(logits.data[0])
 
         lengths = np.array([p.size for p in prompts])
@@ -99,11 +99,11 @@ class TestForwardRagged:
         ref_caches = [ModelKVCache(config.n_layers) for _ in prompts]
         caches = [ModelKVCache(config.n_layers) for _ in prompts]
         for prompt, ref_cache, cache in zip(prompts, ref_caches, caches):
-            micro_llama._forward_with_cache(prompt.reshape(1, -1), ref_cache)
-            micro_llama._forward_with_cache(prompt.reshape(1, -1), cache)
+            micro_llama.forward_cached(prompt.reshape(1, -1), ref_cache)
+            micro_llama.forward_cached(prompt.reshape(1, -1), cache)
         next_tokens = np.array([[1], [2]])
         reference = [
-            micro_llama._forward_with_cache(next_tokens[row : row + 1], ref_caches[row])
+            micro_llama.forward_cached(next_tokens[row : row + 1], ref_caches[row])
             for row in range(2)
         ]
         logits = micro_llama.forward_ragged(next_tokens, caches, np.array([1, 1]))

@@ -353,8 +353,8 @@ class TestZeroAllocationDecode:
         cache = model.make_cache()
         model.forward_cached(tokens, cache)
         step = tokens[:, :1]
-        # Warm past the seq_buf capacity boundaries (scores grow with the
-        # cache) before snapshotting the counters.
+        # Warm past the doubling boundaries (scores grow with the cache)
+        # before snapshotting the counters.
         for _ in range(40):
             model.forward_cached(step, cache)
         workspace = model.runtime.workspace
@@ -545,24 +545,26 @@ class TestCausalMaskCache:
 
 
 class TestWorkspace:
-    def test_buf_reuses_by_name_shape_dtype(self):
+    def test_buf_is_one_array_per_name(self):
         workspace = Workspace()
         a = workspace.buf("x", (2, 3))
-        b = workspace.buf("x", (2, 3))
-        c = workspace.buf("x", (2, 4))
-        assert a is b and a is not c
-        assert workspace.allocations == 2
+        b = workspace.buf("x", (3, 2))
+        c = workspace.buf("y", (2, 3))
+        assert a.shape == (2, 3) and b.shape == (3, 2)
+        assert np.shares_memory(a, b) and not np.shares_memory(a, c)
+        assert workspace.allocations == 2 and workspace.buffers == 2
 
-    def test_seq_buf_grows_geometrically(self):
+    def test_larger_shape_grows_once_by_doubling(self):
         workspace = Workspace()
-        view = workspace.seq_buf("s", (2, 5), axis=1)
-        assert view.shape == (2, 5)
-        backing_allocs = workspace.allocations
-        # within capacity: no new backing array
-        workspace.seq_buf("s", (2, 30), axis=1)
-        assert workspace.allocations == backing_allocs
-        workspace.seq_buf("s", (2, 33), axis=1)
-        assert workspace.allocations == backing_allocs + 1
+        workspace.buf("s", (2, 5))
+        assert workspace.bytes_allocated == 10 * 4
+        workspace.buf("s", (2, 7))
+        assert workspace.allocations == 2
+        assert workspace.bytes_allocated == (10 + 20) * 4
+        # Within the doubled capacity, and any smaller shape: no allocation.
+        for shape in ((4, 5), (2, 3), (1,), (20,)):
+            workspace.buf("s", shape)
+        assert workspace.allocations == 2 and workspace.buffers == 1
 
     def test_stage_grows_from_use_and_keeps_rows(self):
         workspace = Workspace()
@@ -580,10 +582,13 @@ class TestWorkspace:
         assert not grown.keys[2, :, 5:].any() and not grown.values.any()
         assert workspace.allocations == 4
 
-    def test_seq_buf_zero_fills_on_allocation(self):
+    @pytest.mark.parametrize("shape", [(2, 4), (3, 1, 5), (1, 2, 3, 4), (7,)])
+    def test_every_view_is_c_contiguous_float32(self, shape):
         workspace = Workspace()
-        view = workspace.seq_buf("z", (2, 4), axis=1, zero=True)
-        np.testing.assert_array_equal(view, np.zeros((2, 4), dtype=np.float32))
+        workspace.buf("z", (64,))
+        view = workspace.buf("z", shape)
+        assert view.shape == shape and view.dtype == np.float32
+        assert view.flags.c_contiguous
 
 
 class TestOpProfiler:

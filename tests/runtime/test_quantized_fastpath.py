@@ -277,6 +277,20 @@ class TestWorkspaceCache:
         assert workspace.cache_bytes == a.nbytes + b.nbytes
         assert workspace.allocations == 2
 
+    def test_shape_change_grows_one_array_under_budget(self):
+        # A model decomposed in place rebuilds its fast state over the same
+        # workspace: a projection's cache name comes back with a new shape.
+        workspace = Workspace(cache_limit=200)
+        workspace.cache("w", (4, 4), tag=(0,))
+        grown, fresh = workspace.cache("w", (4, 8), tag=(0,))
+        assert fresh is True and grown.shape == (4, 8)
+        assert workspace.cache_bytes == 32 * 4 and workspace.buffers == 1
+        smaller, fresh = workspace.cache("w", (2, 4), tag=(0,))
+        assert fresh is True and np.shares_memory(smaller, grown)
+        assert workspace.cache_bytes == 32 * 4 and workspace.allocations == 2
+        assert workspace.cache("w", (8, 8), tag=(0,)) is None
+        assert workspace.cache_bytes == 32 * 4
+
     def test_default_budget_comes_from_module_constant(self):
         assert Workspace().cache_limit == workspace_module.DEFAULT_DEQUANT_CACHE_BYTES
         assert Workspace(cache_limit=7).cache_limit == 7

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from repro.errors import ServingError
+from repro.models import build_model
+from repro.runtime import Workspace
 from repro.serving import (
     QUALITY_LADDER,
     EngineConfig,
@@ -416,3 +418,58 @@ class TestStepShapes:
         for step, spec, _ in groups:
             specs_per_step.setdefault(step, set()).add(spec)
         assert max(len(specs) for specs in specs_per_step.values()) > 1
+
+
+class TestWorkspaceBound:
+    """Serving memory stops growing with traffic: the fast path keeps one
+    workspace array per name, grown to the largest shape that name has
+    seen, so a second, different trace no larger in rows, chunk sizes or
+    totals than the first allocates nothing."""
+
+    def test_second_smaller_trace_allocates_no_workspace_array(
+        self, smoke_config, monkeypatch
+    ):
+        names, stages = set(), set()
+        handout, stage = Workspace.buf, Workspace.stage
+
+        def buf(self, name, shape):
+            names.add(name)
+            return handout(self, name, shape)
+
+        def staged(self, name, *sizes):
+            stages.add(name)
+            return stage(self, name, *sizes)
+
+        monkeypatch.setattr(Workspace, "buf", buf)
+        monkeypatch.setattr(Workspace, "stage", staged)
+        model = build_model(smoke_config, rng=np.random.default_rng(0))
+        model.eval()
+        log = ForwardLog()
+        engine = InferenceEngine(log.wrap(model), EngineConfig(**MIXED_CONFIG))
+        log.engine = engine
+        first = list(serve_arriving(engine, n=12, seed=0, requests=log.requests))
+        first_calls = list(log.calls)
+        workspace = model.runtime.workspace
+        allocations, nbytes = workspace.allocations, workspace.bytes_allocated
+
+        # serve_arriving counts the requests it is handed toward ``n``.
+        second = serve_arriving(engine, n=20, seed=1, every=3, requests=log.requests)[12:]
+        second_calls = log.calls[len(first_calls):]
+        assert all(r.state is RequestState.FINISHED for r in first + second)
+
+        def largest(calls, key):
+            return max(key(call) for call in calls)
+
+        # The second trace differs, and is no larger in rows, chunk sizes
+        # or totals.
+        assert [c["lengths"] for c in second_calls] != [
+            c["lengths"] for c in first_calls[: len(second_calls)]
+        ]
+        for key in (lambda c: len(c["lengths"]), lambda c: c["width"]):
+            assert largest(second_calls, key) <= largest(first_calls, key)
+        assert max(r.prompt.size + r.max_new_tokens for r in second) <= max(
+            r.prompt.size + r.max_new_tokens for r in first
+        )
+        assert workspace.allocations == allocations
+        assert workspace.bytes_allocated == nbytes
+        assert workspace.buffers == len(names) + 2 * len(stages)
