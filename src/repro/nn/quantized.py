@@ -25,12 +25,9 @@ Bit-identity contract
 ---------------------
 ``forward`` / ``forward_blocked`` here dequantize the full grid and run
 the ordinary Tensor-graph projection — this *is* the simulated-quantization
-reference.  The fast-path kernels in :mod:`repro.runtime.fastpath`
-dequantize block-by-block into workspace scratch instead; because
-elementwise dequantization of a column block equals the same columns of the
-full dequantized matrix, and BLAS GEMM results depend only on the operand
-values and their C-contiguous layout (not the stride of the parent they
-were sliced from), the two paths agree bit for bit.
+reference.  The fast path in :mod:`repro.runtime.fastpath` calls the same
+``dequantize*`` methods once, when its state is built, and runs the same
+blocked GEMMs on the result, so the two paths agree bit for bit.
 """
 
 from __future__ import annotations

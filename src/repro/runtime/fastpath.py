@@ -21,25 +21,16 @@ A context takes the fast path when all of the following hold:
   forwards (``model.train()``) always keep the Tensor-graph path so
   autograd works unchanged.
 
-Quantized projections store int8 grids with per-output-column fp32
-scales.  Their kernels dequantize into the workspace's tag-validated
-dequant cache (see :meth:`~repro.runtime.workspace.Workspace.cache`):
-each projection's fp32 block is materialized once, bound to its
-:class:`FastProjection` and reused across decode steps (the state is
-rebuilt whenever a grid's identity changes), so the warm loop runs pure
-GEMVs.  The cache has an explicit byte budget; once exhausted,
-kernels stream one column block at a time through shared scratch
-(bounded by the largest block, never a full fp32 weight copy) at the
-cost of per-step dequantization.  Elementwise dequantization of a block
-equals the same columns of the full dequantized matrix, and sgemm
-results are independent of the operand's parent stride, so cached and
-streaming modes are both bit-identical to the Tensor path dequantizing
-the whole grid.
-
-Weight arrays are *referenced*, never copied, so in-place optimizer
-updates are picked up automatically; a cheap id-based signature is checked
-per forward so decomposition swaps (``Linear`` -> ``FactorizedLinear``)
-and ``load_state_dict`` rebinds trigger a rebuild of the cached views.
+fp32 weight arrays are *referenced*, never copied, so in-place optimizer
+updates are picked up automatically.  Quantized projections store int8
+grids with per-output-column fp32 scales; the state dequantizes each grid
+once, when it is built, with the functions the Tensor path calls on every
+forward, so the warm loop runs plain fp32 GEMMs on the reference's
+operand bytes.  A cheap id-based signature is checked per forward, so
+decomposition swaps (``Linear`` -> ``FactorizedLinear``),
+``load_state_dict`` rebinds and rebinding a grid or its scales rebuild
+the state.  Grids are treated as immutable: writing into one in place is
+not seen.
 
 Ragged KV staging
 -----------------
@@ -88,6 +79,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import ShapeError
+from repro.nn.quantized import dequantize_weight
 from repro.runtime.profiler import OpProfiler
 from repro.runtime.workspace import Workspace
 
@@ -134,39 +126,22 @@ def workspace_of(ctx) -> Optional[Workspace]:
 # ---------------------------------------------------------------------------
 
 class FastProjection:
-    """One role's weight views in the canonical blocked layout.
+    """One role's fp32 weights in the canonical blocked layout.
 
-    Exactly one of ``weight`` / ``grid`` is set: fp32 storage keeps the
-    dense weight (or U2 of a factor chain) in ``weight``; quantized
-    storage keeps the int8 grid in ``grid`` with per-output-column fp32
-    ``scales``.  A quantized factor chain additionally carries grid +
-    scales for the replicated U1/core prefix.
+    ``weight`` is the dense weight, or U2 of a factor chain whose
+    replicated prefix is ``u1`` then ``core``.  A quantized projection's
+    int8 grids are dequantized into these arrays once, when the state is
+    built (see :func:`_fast_projection`).
     """
 
-    __slots__ = ("weight", "edges", "bias", "u1", "core",
-                 "grid", "scales", "u1_grid", "u1_scales",
-                 "core_grid", "core_scales", "out_width", "key",
-                 "deq", "u1_deq", "core_deq")
+    __slots__ = ("weight", "edges", "bias", "u1", "core")
 
-    def __init__(self, weight, edges, bias=None, u1=None, core=None,
-                 grid=None, scales=None, u1_grid=None, u1_scales=None,
-                 core_grid=None, core_scales=None, key="") -> None:
+    def __init__(self, weight, edges, bias=None, u1=None, core=None) -> None:
         self.weight = weight      # dense weight, or U2 for a factor chain
         self.edges = tuple(edges)
         self.bias = bias
         self.u1 = u1
         self.core = core
-        self.grid = grid          # int8 dense grid, or U2 grid (quantized)
-        self.scales = scales
-        self.u1_grid = u1_grid
-        self.u1_scales = u1_scales
-        self.core_grid = core_grid
-        self.core_scales = core_scales
-        self.out_width = weight.shape[1] if weight is not None else grid.shape[1]
-        self.key = key            # stable per-projection dequant-cache key
-        # Dequant-cache buffers, bound on first use.  The state is rebuilt
-        # whenever a grid's identity changes, so a binding never goes stale.
-        self.deq = self.u1_deq = self.core_deq = None
 
 
 class FastLayer:
@@ -266,8 +241,9 @@ def _module_sig(module) -> Optional[tuple]:
         return (id(module), id(grid), id(module.scales), bias_id)
     u2_grid = getattr(module, "u2_grid", None)
     if u2_grid is not None:
-        return (id(module), id(module.u1_grid), id(module.core_grid),
-                id(u2_grid), bias_id)
+        return (id(module), id(module.u1_grid), id(module.u1_scales),
+                id(module.core_grid), id(module.core_scales),
+                id(u2_grid), id(module.u2_scales), bias_id)
     u1 = getattr(module, "u1", None)
     if u1 is not None:
         return (id(module), id(u1.data), id(module.core.data),
@@ -306,19 +282,21 @@ def _canonical_signature(ctx) -> Optional[tuple]:
     return tuple(parts)
 
 
-def _fast_projection(module, edges, key="") -> FastProjection:
+def _fast_projection(module, edges) -> FastProjection:
+    """``module``'s weights as a :class:`FastProjection`.
+
+    fp32 weights are referenced.  Int8 grids are dequantized here, once,
+    by the same functions the Tensor path calls on every forward, so the
+    GEMMs see the reference's operand bytes.
+    """
     bias = getattr(module, "bias", None)
     bias_arr = None if bias is None else bias.data
     if getattr(module, "grid", None) is not None:
-        return FastProjection(None, edges, bias_arr,
-                              grid=module.grid, scales=module.scales, key=key)
+        return FastProjection(module.dequantize(), edges, bias_arr)
     if getattr(module, "u2_grid", None) is not None:
-        return FastProjection(None, edges, bias_arr,
-                              grid=module.u2_grid, scales=module.u2_scales,
-                              u1_grid=module.u1_grid,
-                              u1_scales=module.u1_scales,
-                              core_grid=module.core_grid,
-                              core_scales=module.core_scales, key=key)
+        return FastProjection(module.dequantize_u2(), edges, bias_arr,
+                              u1=module.dequantize_u1(),
+                              core=module.dequantize_core())
     if getattr(module, "u1", None) is not None:
         return FastProjection(module.u2.data, edges, bias_arr,
                               u1=module.u1.data, core=module.core.data)
@@ -327,13 +305,12 @@ def _fast_projection(module, edges, key="") -> FastProjection:
 
 def _build_canonical(ctx, sig, ws) -> Optional[FastState]:
     layers = []
-    for index, block in enumerate(ctx.blocks):
+    for block in ctx.blocks:
         proj = {}
         for role, owner_name, edges_attr in _CANONICAL_ROLES:
             owner = getattr(block, owner_name)
             proj[role] = _fast_projection(getattr(owner, role),
-                                          getattr(owner, edges_attr),
-                                          key=f"L{index}.{role}")
+                                          getattr(owner, edges_attr))
         layers.append(FastLayer(
             block.attn_norm.weight.data, np.float32(block.attn_norm.eps),
             block.mlp_norm.weight.data, np.float32(block.mlp_norm.eps),
@@ -342,8 +319,7 @@ def _build_canonical(ctx, sig, ws) -> Optional[FastState]:
     final_norm = ctx._final_norm
     if ctx._lm_head is not None:
         head = FastHead(final_norm.weight.data, np.float32(final_norm.eps),
-                        proj=_fast_projection(ctx._lm_head, ctx._head_edges,
-                                              key="head"))
+                        proj=_fast_projection(ctx._lm_head, ctx._head_edges))
     else:
         tied = ctx._embed.weight.data.T
         head = FastHead(final_norm.weight.data, np.float32(final_norm.eps),
@@ -356,13 +332,16 @@ def _build_canonical(ctx, sig, ws) -> Optional[FastState]:
     )
 
 
-def _from_shard(ps, key="") -> FastProjection:
-    if getattr(ps, "grid", None) is not None:
-        return FastProjection(None, ps.edges, ps.bias,
-                              grid=ps.grid, scales=ps.scales,
-                              u1_grid=ps.u1_grid, u1_scales=ps.u1_scales,
-                              core_grid=ps.core_grid,
-                              core_scales=ps.core_scales, key=key)
+def _from_shard(ps) -> FastProjection:
+    """A rank's shard as a :class:`FastProjection` (int8 dequantized once,
+    as :func:`repro.parallel.executor.project` does per forward)."""
+    if ps.quantized:
+        u1 = core = None
+        if ps.u1_grid is not None:
+            u1 = dequantize_weight(ps.u1_grid, ps.u1_scales)
+            core = dequantize_weight(ps.core_grid, ps.core_scales)
+        return FastProjection(dequantize_weight(ps.grid, ps.scales), ps.edges,
+                              ps.bias, u1=u1, core=core)
     if ps.factorized:
         return FastProjection(ps.weight, ps.edges, ps.bias,
                               u1=ps.u1, core=ps.core)
@@ -372,11 +351,10 @@ def _from_shard(ps, key="") -> FastProjection:
 def _build_sharded(ctx, sig, ws) -> FastState:
     shard = ctx.shard
     layers = []
-    for index, layer_shard in enumerate(shard.layers):
+    for layer_shard in shard.layers:
         proj = {}
         for role in ("w_q", "w_k", "w_v", "w_so", "w_g", "w_u", "w_d"):
-            proj[role] = _from_shard(getattr(layer_shard, role),
-                                     key=f"L{index}.{role}")
+            proj[role] = _from_shard(getattr(layer_shard, role))
         layers.append(FastLayer(
             layer_shard.attn_norm, np.float32(_RMS_EPS),
             layer_shard.mlp_norm, np.float32(_RMS_EPS),
@@ -387,7 +365,7 @@ def _build_sharded(ctx, sig, ws) -> FastState:
         head = None
     elif shard.lm_head is not None:
         head = FastHead(shard.final_norm, np.float32(_RMS_EPS),
-                        proj=_from_shard(shard.lm_head, key="head"))
+                        proj=_from_shard(shard.lm_head))
     else:
         # Tied head: GLOBAL vocab edges slice the full transposed table;
         # the rank's output chunk is packed contiguously (executor layout).
@@ -478,111 +456,31 @@ def _blocked_into(x: np.ndarray, weight: np.ndarray, edges, out: np.ndarray) -> 
         np.matmul(x, weight[:, a:b], out=out[..., a:b])
 
 
-def _dequant_scratch(ws: Workspace, grid: np.ndarray, scales: np.ndarray,
-                     name: str) -> np.ndarray:
-    """Dequantize a whole (small) grid into a reusable workspace buffer.
+def _apply(ws: Workspace, p: FastProjection, x: np.ndarray, name: str,
+           out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``p`` on ``x``: the factor prefix, the blocked GEMM, the bias.
 
-    ``int8 * fp32-scale`` with an fp32 ``out=`` is elementwise-identical
-    to ``grid.astype(float32) * scales[None, :]`` — the Tensor reference's
-    dequantization — so GEMMs against the scratch see the same bytes.
+    Writes into ``out`` when given, else into the arena buffer ``name``;
+    the prefix's intermediates live under ``name + ".r1"`` / ``".r2"``.
     """
-    out = ws.buf(name, grid.shape)
-    np.multiply(grid, scales[None, :], out=out)
-    return out
-
-
-def _cached_dequant(ws: Workspace, key: str, grid: np.ndarray,
-                    scales: np.ndarray) -> Optional[np.ndarray]:
-    """The grid's fp32 dequantization in the workspace cache (None when
-    over budget).
-
-    Callers bind the result to their :class:`FastProjection`, so a warm
-    decode loop runs pure GEMVs on previously dequantized weights without
-    touching the cache again — which is what keeps quantized decode within
-    a hair of the fp32 fast path (NumPy's elementwise int8→fp32 multiply
-    costs several times the GEMV it would feed).  Over budget, every call
-    streams through shared :meth:`Workspace.buf` scratch instead.  Cached
-    or streamed, the buffer holds exactly ``fl(grid * scales)`` — the same
-    operand bytes — so bit identity is unaffected by the caching policy.
-    """
-    cached = ws.cache(key, grid.shape, (id(grid), id(scales)))
-    if cached is None:
-        return None
-    out, fresh = cached
-    if fresh:
-        np.multiply(grid, scales[None, :], out=out)
-    return out
-
-
-def _quant_blocked_into(ws: Workspace, x: np.ndarray, p: FastProjection,
-                        out: np.ndarray) -> None:
-    """Quantized ``blocked_project``: dequantize, then GEMM per block.
-
-    With dequant-cache budget the full grid is dequantized once and column
-    blocks are GEMMed as slices (sgemm results are independent of the
-    operand's parent stride).  Over budget, the scratch holds one column
-    block at a time — bounded by the largest block, never a full fp32 copy
-    of the weight.  A block's dequantized values equal the same columns of
-    the full dequantized matrix, so both modes are bit-identical to
-    :func:`_blocked_into` over the full dequant.
-    """
-    if p.deq is None:
-        p.deq = _cached_dequant(ws, "deq." + p.key, p.grid, p.scales)
-    if p.deq is not None:
-        _blocked_into(x, p.deq, p.edges, out)
-        return
-    grid, scales = p.grid, p.scales
-    if len(p.edges) == 1:
-        w = _dequant_scratch(ws, grid, scales, "deq.blk")
-        np.matmul(x, w, out=out)
-        return
-    for a, b in p.edges:
-        w = ws.buf("deq.blk", (grid.shape[0], b - a))
-        np.multiply(grid[:, a:b], scales[a:b][None, :], out=w)
-        np.matmul(x, w, out=out[..., a:b])
-
-
-def _quant_prefix(ws: Workspace, p: FastProjection, x: np.ndarray,
-                  name: str) -> np.ndarray:
-    """The factor chain's ``(x @ U1) @ core`` on dequantized factors."""
-    if p.u1_deq is None:
-        p.u1_deq = _cached_dequant(ws, "deq." + p.key + ".u1", p.u1_grid, p.u1_scales)
-    if p.core_deq is None:
-        p.core_deq = _cached_dequant(ws, "deq." + p.key + ".core", p.core_grid,
-                                     p.core_scales)
-    u1 = p.u1_deq
-    if u1 is None:
-        u1 = _dequant_scratch(ws, p.u1_grid, p.u1_scales, "deq.u1")
-    core = p.core_deq
-    if core is None:
-        core = _dequant_scratch(ws, p.core_grid, p.core_scales, "deq.core")
-    low = ws.buf(name + ".r1", x.shape[:-1] + (u1.shape[1],))
-    np.matmul(x, u1, out=low)
-    mid = ws.buf(name + ".r2", x.shape[:-1] + (core.shape[1],))
-    np.matmul(low, core, out=mid)
-    return mid
-
-
-def _project(state: FastState, layer: int, role: str, x: np.ndarray,
-             name: str, region: _Region) -> np.ndarray:
-    p = state.layers[layer].proj[role]
-    ws = state.ws
-    region.start()
-    if p.u1_grid is not None:
-        x = _quant_prefix(ws, p, x, name)
-    elif p.u1 is not None:
+    if p.u1 is not None:
         low = ws.buf(name + ".r1", x.shape[:-1] + (p.u1.shape[1],))
         np.matmul(x, p.u1, out=low)
         mid = ws.buf(name + ".r2", x.shape[:-1] + (p.core.shape[1],))
         np.matmul(low, p.core, out=mid)
         x = mid
-    out = ws.buf(name, x.shape[:-1] + (p.out_width,))
-    if p.grid is not None:
-        _quant_blocked_into(ws, x, p, out)
-    else:
-        _blocked_into(x, p.weight, p.edges, out)
+    if out is None:
+        out = ws.buf(name, x.shape[:-1] + (p.weight.shape[1],))
+    _blocked_into(x, p.weight, p.edges, out)
     if p.bias is not None:
         np.add(out, p.bias, out=out)
+    return out
+
+
+def _project(state: FastState, layer: int, role: str, x: np.ndarray,
+             name: str, region: _Region) -> np.ndarray:
+    region.start()
+    out = _apply(state.ws, state.layers[layer].proj[role], x, name)
     region.stop(f"layer{layer}.{role}")
     return out
 
@@ -1001,35 +899,11 @@ def _logits(state: FastState, x: np.ndarray, region: _Region) -> np.ndarray:
     batch, seq_len, dim = x.shape
     region.start()
     if head.proj is not None:
-        p = head.proj
-        hidden = normed
-        if p.u1_grid is not None:
-            hidden = _quant_prefix(ws, p, hidden, "lm_head")
-        elif p.u1 is not None:
-            low = ws.buf("lm_head.r1", hidden.shape[:-1] + (p.u1.shape[1],))
-            np.matmul(hidden, p.u1, out=low)
-            mid = ws.buf("lm_head.r2", hidden.shape[:-1] + (p.core.shape[1],))
-            np.matmul(low, p.core, out=mid)
-            hidden = mid
-        width = p.out_width
+        out = None
         if state.gather is None:
-            out = np.empty((batch, seq_len, width), dtype=np.float32)
-        else:
-            out = ws.buf("lm_head.local", (batch, seq_len, width))
-        if p.grid is not None:
-            _quant_blocked_into(ws, hidden, p, out)
-        else:
-            _blocked_into(hidden, p.weight, p.edges, out)
-        if p.bias is not None:
-            np.add(out, p.bias, out=out)
-        if state.gather is None:
-            result = out
-        else:
-            result = state.gather(out)
-            if result is out:
-                # A size-1 gather returns its input — a view of the reused
-                # workspace buffer.  Logits escape this call, so detach.
-                result = result.copy()
+            out = np.empty((batch, seq_len, head.proj.weight.shape[1]),
+                           dtype=np.float32)
+        result = _apply(ws, head.proj, normed, "lm_head", out)
     else:
         # Tied head: GEMMs against the same transposed-table views the
         # Tensor path slices (identical memory layout, identical bytes).
@@ -1044,11 +918,11 @@ def _logits(state: FastState, x: np.ndarray, region: _Region) -> np.ndarray:
                       out=out[:, position : position + (b - a)])
             position += b - a
         result = out.reshape(batch, seq_len, head.width)
-        if state.gather is not None:
-            gathered = state.gather(result)
-            # Size-1 gathers hand the workspace view straight back; copy so
-            # the escaping logits survive the next forward's buffer reuse.
-            result = gathered.copy() if gathered is result else gathered
+    if state.gather is not None:
+        gathered = state.gather(result)
+        # A size-1 gather hands the workspace view straight back; copy so
+        # the escaping logits survive the next forward's buffer reuse.
+        result = gathered.copy() if gathered is result else gathered
     region.stop("lm_head")
     return result
 

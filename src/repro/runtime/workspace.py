@@ -18,17 +18,6 @@ price is that two live views under one name share memory: callers give
 every simultaneously live buffer its own name, and fully overwrite what
 they read back.
 
-Quantized projections additionally use :meth:`Workspace.cache`: a
-*content-tagged* buffer in the same per-name store, under an explicit
-byte budget (:data:`DEFAULT_DEQUANT_CACHE_BYTES`).  Dequantized weights
-are written once and reused across decode steps as long as their tag (the
-identity of the int8 grid + scales, and the shape) is unchanged; when the
-budget is exhausted the kernels fall back to streaming blockwise
-dequantization through ordinary :meth:`Workspace.buf` scratch, bounded by
-the largest single block.  The budget is what keeps the dequant footprint
-a tunable scratch cost rather than an unconditional fp32 copy of every
-quantized weight.
-
 Ragged attention keeps each layer's K/V history in a persistent
 :meth:`Workspace.stage` pair (a :class:`KVStage`): staging slots keyed by
 cache epoch, each recording how many positions of that cache it mirrors,
@@ -47,12 +36,6 @@ from math import prod
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-
-#: Default budget for the tag-validated dequantized-weight cache.  Sized so
-#: every model in the registry that fits this repo's CPU-scale serving also
-#: fits its dequantized working set; cut it (down to 0) to trade decode
-#: throughput for strictly-bounded streaming dequant scratch.
-DEFAULT_DEQUANT_CACHE_BYTES = 64 << 20
 
 
 def _grow(capacity: int, needed: int) -> int:
@@ -114,18 +97,12 @@ class KVStage:
 class Workspace:
     """Named reusable float32 buffers with allocation accounting."""
 
-    __slots__ = ("_arrays", "_cached", "_stages", "cache_limit", "cache_bytes",
-                 "allocations", "bytes_allocated", "stage_hits", "stage_misses")
+    __slots__ = ("_arrays", "_stages", "allocations", "bytes_allocated",
+                 "stage_hits", "stage_misses")
 
-    def __init__(self, cache_limit: Optional[int] = None) -> None:
+    def __init__(self) -> None:
         self._arrays: Dict[str, np.ndarray] = {}
-        # Dequant-cache names: the tag of the last fill and its view.
-        self._cached: Dict[str, Tuple[tuple, np.ndarray]] = {}
         self._stages: Dict[tuple, KVStage] = {}
-        self.cache_limit = (
-            DEFAULT_DEQUANT_CACHE_BYTES if cache_limit is None else cache_limit
-        )
-        self.cache_bytes = 0
         self.allocations = 0
         self.bytes_allocated = 0
         # Ragged rows whose cache was found staged (copied only new
@@ -157,43 +134,6 @@ class Workspace:
             array = self._allocate(_resize(array, size))
             self._arrays[name] = array
         return array[:size].reshape(shape)
-
-    def cache(
-        self, name: str, shape: Tuple[int, ...], tag: tuple
-    ) -> Optional[Tuple[np.ndarray, bool]]:
-        """A content-tagged buffer under the dequant-cache budget.
-
-        Returns ``(array, fresh)`` — ``fresh`` is True when the caller must
-        (re)fill the buffer: on first use and whenever ``tag`` or ``shape``
-        differs from the last fill's.  With both unchanged the previous
-        contents are valid, so a warm decode loop skips the fill entirely.
-        Returns ``None`` when growing the name's array would exceed
-        ``cache_limit``; callers then stream through :meth:`buf` scratch.
-
-        Tags are identity-based by convention (``id`` of the source
-        arrays): the cache assumes quantized grids are immutable once
-        built — rebinding to new arrays retags, in-place mutation does
-        not.  Entries are never evicted; per-projection structural names
-        keep the entry count bounded by the model's projection count, and
-        a name whose shape changes (a model decomposed in place) grows its
-        one array, with the growth charged to the budget.
-        """
-        entry = self._cached.get(name)
-        if entry is not None and entry[1].shape == shape:
-            stored, view = entry
-            self._cached[name] = (tag, view)
-            return view, stored != tag
-        size = prod(shape)
-        array = self._arrays.get(name)
-        have = 0 if array is None else array.size
-        if size > have:
-            grown = _resize(array, size) - have
-            if self.cache_bytes + 4 * grown > self.cache_limit:
-                return None
-            self.cache_bytes += 4 * grown
-        view = self.buf(name, shape)
-        self._cached[name] = (tag, view)
-        return view, True
 
     def stage(
         self, name: str, rows: int, heads: int, width: int, head_dim: int
@@ -235,4 +175,4 @@ class Workspace:
         )
 
 
-__all__ = ["DEFAULT_DEQUANT_CACHE_BYTES", "KVStage", "Workspace"]
+__all__ = ["KVStage", "Workspace"]

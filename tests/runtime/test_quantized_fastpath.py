@@ -1,13 +1,12 @@
 """Bit-for-bit identity of the int8 fast-path kernels.
 
-The quantized kernels in :mod:`repro.runtime.fastpath` dequantize int8
-grids block-by-block into the :class:`Workspace` arena (through the
-budgeted dequant cache when it fits, streaming scratch when it does not)
-and must land on exactly the bytes the Tensor-graph driver produces from
-the same simulated-quant weights: every comparison here is
-``np.testing.assert_array_equal`` — never ``allclose`` — across weight
-structures (dense / rank-1 / rank-8 chains), cache regimes (stateless /
-shared KV cache / ragged), and (tp, pp) mesh shapes.
+The fast path in :mod:`repro.runtime.fastpath` dequantizes int8 grids
+once, when its state is built, and must land on exactly the bytes the
+Tensor-graph driver produces from the same simulated-quant weights: every
+comparison here is ``np.testing.assert_array_equal`` — never
+``allclose`` — across weight structures (dense / rank-1 / rank-8 chains),
+cache regimes (stateless / shared KV cache / ragged), and (tp, pp) mesh
+shapes.
 """
 
 import numpy as np
@@ -21,8 +20,7 @@ from repro.decomposition import DecompositionConfig, decompose_model
 from repro.models import build_model
 from repro.models.config import ModelConfig
 from repro.nn import ModelKVCache
-from repro.runtime import Workspace, fastpath
-from repro.runtime import workspace as workspace_module
+from repro.runtime import fastpath
 from repro.runtime.benchmark import run_decode_bench
 
 TINY = ModelConfig(
@@ -168,40 +166,51 @@ class TestQuantizedSelection:
         model = build_quantized("dense")
         state = fastpath.active_state(model.runtime.context)
         assert state is not None
-        proj = state.layers[0].proj["w_q"]
-        assert proj.grid is not None and proj.grid.dtype == np.int8
-        assert proj.weight is None
-        assert proj.scales.dtype == np.float32
+        for block, layer in zip(model.blocks, state.layers):
+            module, proj = block.attn.w_q, layer.proj["w_q"]
+            assert proj.weight.dtype == np.float32 and proj.u1 is None
+            np.testing.assert_array_equal(proj.weight, module.dequantize())
 
     def test_quantized_chain_keeps_prefix_grids(self):
         model = build_quantized("rank8")
         state = fastpath.active_state(model.runtime.context)
-        proj = state.layers[0].proj["w_q"]
-        assert proj.u1_grid is not None and proj.core_grid is not None
-        assert proj.grid is not None  # U2 grid
+        module, proj = model.blocks[0].attn.w_q, state.layers[0].proj["w_q"]
+        np.testing.assert_array_equal(proj.u1, module.dequantize_u1())
+        np.testing.assert_array_equal(proj.core, module.dequantize_core())
+        np.testing.assert_array_equal(proj.weight, module.dequantize_u2())
 
     def test_restore_invalidates_back_to_fp32_path(self):
         model = build_model(TINY, rng=np.random.default_rng(0))
         model.eval()
         report = quantize_model_real(model, 8)
         quant_state = fastpath.active_state(model.runtime.context)
-        assert quant_state.layers[0].proj["w_q"].grid is not None
+        np.testing.assert_array_equal(
+            quant_state.layers[0].proj["w_q"].weight,
+            model.blocks[0].attn.w_q.dequantize(),
+        )
         restore_real_quantized(model, report)
         state = fastpath.active_state(model.runtime.context)
         assert state is not quant_state
-        assert state.layers[0].proj["w_q"].grid is None
-        assert state.layers[0].proj["w_q"].weight is not None
+        assert state.layers[0].proj["w_q"].weight is model.blocks[0].attn.w_q.weight.data
 
-    def test_projection_cache_keys_are_unique(self):
-        model = build_quantized("dense")
-        state = fastpath.active_state(model.runtime.context)
-        keys = [
-            proj.key
-            for layer in state.layers
-            for proj in layer.proj.values()
-        ]
-        assert len(keys) == len(set(keys))
-        assert all(keys)
+
+#: The scales of each quantized flavor: a dense grid's, then a chain's.
+SCALES = (("dense", "scales"), ("rank8", "u1_scales"),
+          ("rank8", "core_scales"), ("rank8", "u2_scales"))
+
+
+@pytest.mark.parametrize("structure,name", SCALES)
+def test_rebinding_scales_rebuilds_the_fast_state(structure, name):
+    # The fast state holds fp32 copies of the dequantized weights, so a
+    # rebound scales array must invalidate it like a rebound grid does.
+    model = build_quantized(structure)
+    tokens = tokens_for(model.config, 2, 5)
+    model.forward(tokens)  # warm: the state is built from the old scales
+    module = model.blocks[0].attn.w_q
+    setattr(module, name, getattr(module, name) * np.float32(1.5))
+    with fastpath.disabled():
+        reference = model.forward(tokens).data
+    np.testing.assert_array_equal(reference, model.forward(tokens).data)
 
 
 class TestDequantCache:
@@ -213,87 +222,17 @@ class TestDequantCache:
         step = tokens[:, :1]
         for _ in range(40):
             model.forward_cached(step, cache)
+        # The warm loop reuses the weights dequantized when the state was
+        # built, and its workspace buffers: nothing is rebuilt or grown.
+        state = fastpath.active_state(model.runtime.context)
         workspace = model.runtime.workspace
-        assert workspace is not None and workspace.cache_bytes > 0
         allocations = workspace.allocations
         nbytes = workspace.bytes_allocated
         for _ in range(10):
             model.forward_cached(step, cache)
+        assert fastpath.active_state(model.runtime.context) is state
         assert workspace.allocations == allocations
         assert workspace.bytes_allocated == nbytes
-
-    def test_zero_budget_streams_and_stays_bit_identical(self, monkeypatch):
-        model = build_quantized("rank8")
-        tokens = tokens_for(model.config, 1, 8)
-        with fastpath.disabled():
-            ref_cache = model.make_cache()
-            reference = [model.forward_cached(tokens[:, :6], ref_cache).data]
-            reference += [
-                model.forward_cached(tokens[:, i : i + 1], ref_cache).data
-                for i in range(6, 8)
-            ]
-        monkeypatch.setattr(workspace_module, "DEFAULT_DEQUANT_CACHE_BYTES", 0)
-        model.runtime.context.__dict__.pop("_fast_state", None)
-        cache = model.make_cache()
-        fast = [model.forward_cached(tokens[:, :6], cache).data]
-        fast += [
-            model.forward_cached(tokens[:, i : i + 1], cache).data
-            for i in range(6, 8)
-        ]
-        workspace = model.runtime.workspace
-        assert workspace.cache_limit == 0 and workspace.cache_bytes == 0
-        for ref, got in zip(reference, fast):
-            np.testing.assert_array_equal(ref, got)
-
-
-class TestWorkspaceCache:
-    def test_fresh_on_first_fill_then_hit(self):
-        workspace = Workspace()
-        first, fresh = workspace.cache("w", (4, 4), tag=(1, 2))
-        assert fresh is True
-        again, fresh = workspace.cache("w", (4, 4), tag=(1, 2))
-        assert again is first and fresh is False
-
-    def test_tag_change_requests_refill_in_place(self):
-        workspace = Workspace()
-        array, _ = workspace.cache("w", (4, 4), tag=(1, 2))
-        allocations = workspace.allocations
-        again, fresh = workspace.cache("w", (4, 4), tag=(9, 9))
-        assert again is array and fresh is True
-        assert workspace.allocations == allocations  # retag, no realloc
-
-    def test_budget_exhaustion_returns_none(self):
-        workspace = Workspace(cache_limit=100)
-        assert workspace.cache("big", (100, 100), tag=(0,)) is None
-        assert workspace.cache_bytes == 0
-        small, fresh = workspace.cache("small", (5,), tag=(0,))
-        assert fresh is True
-        assert workspace.cache_bytes == small.nbytes
-
-    def test_cache_bytes_accounting(self):
-        workspace = Workspace(cache_limit=10_000)
-        a, _ = workspace.cache("a", (8, 8), tag=(0,))
-        b, _ = workspace.cache("b", (4, 4), tag=(0,))
-        assert workspace.cache_bytes == a.nbytes + b.nbytes
-        assert workspace.allocations == 2
-
-    def test_shape_change_grows_one_array_under_budget(self):
-        # A model decomposed in place rebuilds its fast state over the same
-        # workspace: a projection's cache name comes back with a new shape.
-        workspace = Workspace(cache_limit=200)
-        workspace.cache("w", (4, 4), tag=(0,))
-        grown, fresh = workspace.cache("w", (4, 8), tag=(0,))
-        assert fresh is True and grown.shape == (4, 8)
-        assert workspace.cache_bytes == 32 * 4 and workspace.buffers == 1
-        smaller, fresh = workspace.cache("w", (2, 4), tag=(0,))
-        assert fresh is True and np.shares_memory(smaller, grown)
-        assert workspace.cache_bytes == 32 * 4 and workspace.allocations == 2
-        assert workspace.cache("w", (8, 8), tag=(0,)) is None
-        assert workspace.cache_bytes == 32 * 4
-
-    def test_default_budget_comes_from_module_constant(self):
-        assert Workspace().cache_limit == workspace_module.DEFAULT_DEQUANT_CACHE_BYTES
-        assert Workspace(cache_limit=7).cache_limit == 7
 
 
 class TestQuantizedBench:

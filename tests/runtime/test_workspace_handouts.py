@@ -16,7 +16,6 @@ import pytest
 
 from repro.nn import ModelKVCache
 from repro.runtime import Workspace, fastpath
-from repro.runtime import workspace as workspace_module
 from tests.runtime.test_fastpath import build_tiny, tokens_for
 from tests.runtime.test_quantized_fastpath import build_quantized
 
@@ -89,13 +88,8 @@ class TestNaNHandouts:
     def test_dense_cached_and_ragged_decode(self):
         canonical_cases(build_tiny("dense"))
 
-    def test_rank8_int8_streaming_dequant(self, monkeypatch):
-        monkeypatch.setattr(workspace_module, "DEFAULT_DEQUANT_CACHE_BYTES", 0)
-        model = build_quantized("rank8")
-        model.runtime.context.__dict__.pop("_fast_state", None)
-        canonical_cases(model)
-        workspace = model.runtime.workspace
-        assert workspace.cache_limit == 0 and workspace.cache_bytes == 0
+    def test_rank8_int8_cached_and_ragged_decode(self):
+        canonical_cases(build_quantized("rank8"))
 
     def test_tp2(self):
         from repro.parallel import ShardedLlama
