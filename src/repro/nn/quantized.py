@@ -69,8 +69,10 @@ def quantize_weight(
 
 def dequantize_weight(grid: np.ndarray, scales: np.ndarray) -> np.ndarray:
     """Invert :func:`quantize_weight` up to rounding error."""
+    # float32 scales already give a float32 product; only wider scales
+    # need the cast, so it must not copy a second time.
     return (np.asarray(grid, dtype=np.float32) * np.asarray(scales)[None, :]).astype(
-        np.float32
+        np.float32, copy=False
     )
 
 

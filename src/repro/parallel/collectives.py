@@ -105,11 +105,19 @@ _P2P_ABORT = object()  # sentinel flooding queues so blocked recvs unblock
 class LocalGroup:
     """In-process collective group: one thread per rank, shared memory.
 
-    The all-gather is three-phase: (1) every rank deposits its
-    contribution and waits; (2) rank 0 combines in fixed rank order and publishes, all
-    wait; (3) every rank reads the shared result and waits once more so
-    the slots can be reused.  The returned array is shared read-only by
-    all ranks — callers must not mutate it.
+    The all-gather waits on one barrier: every rank deposits its
+    contribution in the slot row of its call parity, waits, then
+    concatenates all contributions in fixed rank order into an array of
+    its own.  Two slot rows, alternating by each rank's call count, are
+    enough: a rank can write the row of call ``n + 2`` only after every
+    peer has reached the barrier of call ``n + 1``, so after reading call
+    ``n``'s contributions.  Lifetime rule:
+
+    - a contribution to call ``n`` must stay untouched until its rank
+      returns from its next all-gather (call ``n + 1``), because a slower
+      peer may still be reading it until then;
+    - the returned array belongs to the caller and no other rank reads
+      it (with one rank it *is* the contribution).
 
     ``stats`` lets several groups (per-stage TP groups plus the pipeline's
     P2P lanes) share one ledger, so a run's total traffic is a single
@@ -121,8 +129,8 @@ class LocalGroup:
             raise ParallelError(f"world_size must be positive, got {world_size}")
         self.world_size = int(world_size)
         self.stats = stats if stats is not None else CommStats()
-        self._slots: List[Optional[np.ndarray]] = [None] * self.world_size
-        self._result: Optional[np.ndarray] = None
+        self._slots = self._empty_slots()
+        self._calls = [0] * self.world_size  # per-rank all-gather count
         if self.world_size > 1:
             self._barrier = threading.Barrier(self.world_size)
         # Point-to-point lanes, created lazily per (src, dst) pair.
@@ -144,10 +152,14 @@ class LocalGroup:
         """Make the group usable again after :meth:`abort`."""
         if self.world_size > 1:
             self._barrier.reset()
-        self._slots = [None] * self.world_size
+        self._slots = self._empty_slots()
+        self._calls = [0] * self.world_size
         with self._lanes_lock:
             self._p2p_aborted = False
             self._lanes.clear()
+
+    def _empty_slots(self) -> List[List[Optional[np.ndarray]]]:
+        return [[None] * self.world_size for _ in range(2)]
 
     def _wait(self) -> None:
         try:
@@ -202,17 +214,15 @@ class LocalGroup:
             self.stats.record(array.nbytes, 0)
             return array
         started = time.perf_counter()
-        self._slots[rank] = array
+        slots = self._slots[self._calls[rank] & 1]
+        self._calls[rank] += 1
+        slots[rank] = array
         self._wait()
+        result = np.concatenate(slots, axis=axis)
         if rank == 0:
-            result = np.concatenate(self._slots, axis=axis)
-            self._result = result
             self.stats.record(
                 result.nbytes,
                 gather_wire_bytes(result.nbytes, self.world_size),
                 time.perf_counter() - started,
             )
-        self._wait()
-        result = self._result
-        self._wait()  # all ranks hold the result; slots are reusable
         return result

@@ -235,8 +235,8 @@ class RankExecutor:
         """Final norm + LM head (+ logits gather) over a full hidden batch.
 
         The completion of a ``skip_head`` forward: the head GEMM against
-        the transposed tied-embedding view is the one kernel whose
-        low-order bits depend on the row count, so a chunked pipeline runs
-        it exactly once with the canonical batch.
+        the transposed tied-embedding view spans every row, so its
+        low-order bits depend on the row count, and a chunked pipeline
+        runs it exactly once with the canonical batch.
         """
         return run_head(self.context, hidden)

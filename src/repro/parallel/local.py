@@ -11,13 +11,17 @@ quacks like the model where the serving engine needs it to — ``config``,
 that gives the engine per-grid-cell paged KV stores holding only each
 cell's covering KV heads *and* its stage's layers.
 
-Pipelining: prefill batches are split into up to ``pp`` row-microbatches
-that stream through the stages 1F1B-style — the blocking lane queues let
-stage 0 start microbatch ``m+1`` while stage 1 still runs ``m`` — and
-decode tokens travel the pipe one hop per step.  Row-splitting is
-bit-exact (BLAS GEMMs over row subsets reproduce the full-batch bytes)
-and the ragged attention pads every microbatch to the whole batch's
-maximum KV width, so chunking never perturbs a reduction.
+Pipelining: multi-token batches (prefill) are split into up to ``pp``
+row-microbatches that stream through the stages 1F1B-style — the blocking
+lane queues let stage 0 start microbatch ``m+1`` while stage 1 still runs
+``m`` — and a one-token-per-row batch (decode) travels the pipe as one
+microbatch, one hop per stage.  Splitting multi-token rows is bit-exact:
+each row's weight products are its own GEMMs, of the same shape in any
+chunk; the ragged attention pads every microbatch to the whole batch's
+maximum KV width; and the head, whose tied GEMM spans all rows, runs once
+over the whole batch.  Decode rows are not split because they share one
+GEMM per weight product, and a GEMM row's low bits depend on how many
+rows share it (see :func:`repro.runtime.fastpath.decode_rows`).
 
 Exact-equality contract: for identical inputs (and identical per-sequence
 cache histories), ``ShardedLlama(model, tp, pp=pp).forward(x)`` returns
@@ -255,14 +259,22 @@ class ShardedLlama:
             raise
 
     # -- pipeline plumbing -------------------------------------------------
-    def _row_chunks(self, rows: int) -> List[Tuple[int, int]]:
+    def _row_chunks(self, tokens: np.ndarray) -> List[Tuple[int, int]]:
         """Contiguous row spans for the microbatch passes of one forward.
 
-        Default: up to ``pp`` balanced chunks (1 chunk on a 1-stage pipe —
-        the historical behavior, byte for byte).  Row-splitting preserves
-        the exactness contract: every kernel reduces within a row, and the
-        ragged path pads all chunks to the batch-global KV width.
+        Default: up to ``pp`` balanced chunks (1 chunk on a 1-stage pipe).
+        A forward with one token per row is never split: both drivers run
+        its rows as one GEMM per weight product, and a GEMM row's low bits
+        depend on how many rows share it, so a chunk would not match the
+        canonical model.  Splitting multi-token rows preserves the
+        exactness contract: their per-row GEMMs see the same shapes in any
+        chunk, the ragged path pads all chunks to the batch-global KV
+        width, and the row-count-dependent head runs once over the whole
+        batch (see :meth:`_stream`).
         """
+        rows, seq_len = tokens.shape[0], tokens.shape[1]
+        if seq_len == 1:
+            return [(0, rows)]
         want = self._microbatches if self._microbatches is not None else self.pp
         count = max(1, min(int(want), rows))
         return block_edges(rows, count)
@@ -314,7 +326,7 @@ class ShardedLlama:
                 tokens[lo:hi], pad_mask=mask, hidden=hidden, skip_head=skip_head
             )
 
-        return self._stream(tokens, self._row_chunks(tokens.shape[0]), step)
+        return self._stream(tokens, self._row_chunks(tokens), step)
 
     def __call__(self, tokens: np.ndarray, pad_mask: Optional[np.ndarray] = None) -> Tensor:
         return self.forward(tokens, pad_mask=pad_mask)
@@ -343,7 +355,7 @@ class ShardedLlama:
                 skip_head=skip_head,
             )
 
-        return self._stream(tokens, self._row_chunks(tokens.shape[0]), step)
+        return self._stream(tokens, self._row_chunks(tokens), step)
 
     def forward_cached(self, tokens: np.ndarray, cache: ShardedSequenceCache) -> Tensor:
         """Forward over new ``tokens`` only, extending ``cache`` in place.

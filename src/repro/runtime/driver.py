@@ -71,6 +71,26 @@ def _merge_heads(x: Tensor, batch: int, seq_len: int, n_heads: int, head_dim: in
     return x.transpose(0, 2, 1, 3).reshape(batch, seq_len, n_heads * head_dim)
 
 
+def _decode_rows(fn, x: Tensor) -> Tensor:
+    """``fn(x)``, with a decode batch's rows as one GEMM operand.
+
+    The Tensor driver's side of :func:`repro.runtime.fastpath.decode_rows`:
+    a ``(B, 1, D)`` batch with ``B > 1`` goes through ``fn`` as the one
+    ``B``-token row ``(1, B, D)``, so every weight product inside ``fn`` is
+    a single ``(B, D)`` GEMM instead of B one-row GEMVs; the result comes
+    back as ``(B, 1, N)``.  Other shapes pass through unchanged.
+    """
+    batch, seq_len = x.shape[0], x.shape[1]
+    if seq_len != 1 or batch == 1:
+        return fn(x)
+    out = fn(x.reshape(1, batch, x.shape[2]))
+    return out.reshape(batch, 1, out.shape[2])
+
+
+def _project(ctx: ExecutionContext, layer: int, role: str, x: Tensor) -> Tensor:
+    return _decode_rows(lambda rows: ctx.project(layer, role, rows), x)
+
+
 def attention(
     ctx: ExecutionContext,
     layer: int,
@@ -111,13 +131,13 @@ def _attention_dense(
     batch, seq_len, _ = x.shape
     offset = 0 if cache is None else cache.seq_len
     q = _split_heads(
-        ctx.project(layer, "w_q", x), batch, seq_len, ctx.n_q_heads, ctx.head_dim
+        _project(ctx, layer, "w_q", x), batch, seq_len, ctx.n_q_heads, ctx.head_dim
     )
     k = _split_heads(
-        ctx.project(layer, "w_k", x), batch, seq_len, ctx.n_kv_heads, ctx.head_dim
+        _project(ctx, layer, "w_k", x), batch, seq_len, ctx.n_kv_heads, ctx.head_dim
     )
     v = _split_heads(
-        ctx.project(layer, "w_v", x), batch, seq_len, ctx.n_kv_heads, ctx.head_dim
+        _project(ctx, layer, "w_v", x), batch, seq_len, ctx.n_kv_heads, ctx.head_dim
     )
     q = ctx.rope(q, offset)
     k = ctx.rope(k, offset)
@@ -144,7 +164,7 @@ def _attention_dense(
     merged = ctx.gather(
         _merge_heads(context, batch, seq_len, ctx.n_q_heads, ctx.head_dim)
     )
-    return ctx.gather(ctx.project(layer, "w_so", merged))
+    return ctx.gather(_project(ctx, layer, "w_so", merged))
 
 
 def _attention_ragged(
@@ -171,13 +191,13 @@ def _attention_ragged(
         raise ShapeError(f"row lengths {lengths} out of range [1, {max_new}]")
     offsets = ragged.offsets
     q = _split_heads(
-        ctx.project(layer, "w_q", x), batch, max_new, ctx.n_q_heads, ctx.head_dim
+        _project(ctx, layer, "w_q", x), batch, max_new, ctx.n_q_heads, ctx.head_dim
     )
     k = _split_heads(
-        ctx.project(layer, "w_k", x), batch, max_new, ctx.n_kv_heads, ctx.head_dim
+        _project(ctx, layer, "w_k", x), batch, max_new, ctx.n_kv_heads, ctx.head_dim
     )
     v = _split_heads(
-        ctx.project(layer, "w_v", x), batch, max_new, ctx.n_kv_heads, ctx.head_dim
+        _project(ctx, layer, "w_v", x), batch, max_new, ctx.n_kv_heads, ctx.head_dim
     )
     q = ctx.rope(q, offsets)
     k = ctx.rope(k, offsets)
@@ -212,15 +232,15 @@ def _attention_ragged(
     merged = ctx.gather(
         _merge_heads(context, batch, max_new, ctx.n_q_heads, ctx.head_dim)
     )
-    return ctx.gather(ctx.project(layer, "w_so", merged))
+    return ctx.gather(_project(ctx, layer, "w_so", merged))
 
 
 def swiglu_mlp(ctx: ExecutionContext, layer: int, x: Tensor) -> Tensor:
     """The gated feed-forward sublayer ``W_D(silu(W_G x) * W_U x)``."""
-    gate = ctx.project(layer, "w_g", x)
-    up = ctx.project(layer, "w_u", x)
+    gate = _project(ctx, layer, "w_g", x)
+    up = _project(ctx, layer, "w_u", x)
     hidden = ctx.gather(F.silu(gate) * up)
-    return ctx.gather(ctx.project(layer, "w_d", hidden))
+    return ctx.gather(_project(ctx, layer, "w_d", hidden))
 
 
 def run_layer(
@@ -294,7 +314,7 @@ def run_model(
         x = run_layer(ctx, layer, x, pad_mask=pad_mask, cache=cache)
     if not has_head or skip_head:
         return x
-    return ctx.logits(x)
+    return _decode_rows(ctx.logits, x)
 
 
 def _check_ragged_positions(ctx: ExecutionContext, caches) -> None:
@@ -342,7 +362,7 @@ def run_head(ctx: ExecutionContext, hidden) -> Tensor:
     if state is not None:
         return Tensor(fastpath.logits_fast(state, hidden))
     x = hidden if isinstance(hidden, Tensor) else Tensor(hidden)
-    return ctx.logits(x)
+    return _decode_rows(ctx.logits, x)
 
 
 class ModelRuntime:

@@ -62,9 +62,12 @@ ufuncs in identical order with identical float32 scalar operands, GEMMs
 against the *same* weight views (layouts included — BLAS results are not
 layout-invariant), and ``out=`` targets whose 2-D cores keep BLAS-
 compatible strides so NumPy never falls back to its differently-ordered
-non-BLAS loop.  Logits from this path are byte-identical to the Tensor
-driver across all three cache regimes and all world sizes; the identity
-sweep in ``tests/runtime/test_fastpath.py`` enforces it.
+non-BLAS loop.  Both drivers share one GEMM shape rule
+(:func:`decode_rows`): a forward with one token per row and more than one
+row runs each weight product as a single GEMM over all rows, any other
+forward as per-row products.  Logits from this path are byte-identical to
+the Tensor driver across all three cache regimes and all world sizes; the
+identity sweep in ``tests/runtime/test_fastpath.py`` enforces it.
 
 The returned logits array is always freshly allocated (callers hold it
 across steps); everything else lives in the arena.
@@ -456,25 +459,44 @@ def _blocked_into(x: np.ndarray, weight: np.ndarray, edges, out: np.ndarray) -> 
         np.matmul(x, weight[:, a:b], out=out[..., a:b])
 
 
+def decode_rows(x: np.ndarray) -> np.ndarray:
+    """``x`` as one GEMM operand when it is a decode batch, else ``x``.
+
+    A ``(B, 1, D)`` batch with ``B > 1`` becomes its ``(B, D)`` view:
+    NumPy runs ``(B, 1, D) @ W`` as B one-row GEMVs, each reading all of
+    ``W``, but ``(B, D) @ W`` as one GEMM that reads ``W`` once.  Both
+    drivers apply this one rule to every GEMM against a weight (factor
+    chains, column blocks, the LM head), so they stay bit-identical; a
+    row's low bits then depend on how many rows share its forward.
+    Multi-token rows and ``B == 1`` keep their per-row products.
+    """
+    if x.ndim == 3 and x.shape[1] == 1 and x.shape[0] > 1:
+        return x.reshape(x.shape[0], x.shape[2])
+    return x
+
+
 def _apply(ws: Workspace, p: FastProjection, x: np.ndarray, name: str,
            out: Optional[np.ndarray] = None) -> np.ndarray:
     """``p`` on ``x``: the factor prefix, the blocked GEMM, the bias.
 
     Writes into ``out`` when given, else into the arena buffer ``name``;
     the prefix's intermediates live under ``name + ".r1"`` / ``".r2"``.
+    A decode batch runs as one GEMM per product (:func:`decode_rows`).
     """
+    if out is None:
+        out = ws.buf(name, x.shape[:-1] + (p.weight.shape[1],))
+    result = out
+    x, out = decode_rows(x), decode_rows(out)
     if p.u1 is not None:
         low = ws.buf(name + ".r1", x.shape[:-1] + (p.u1.shape[1],))
         np.matmul(x, p.u1, out=low)
         mid = ws.buf(name + ".r2", x.shape[:-1] + (p.core.shape[1],))
         np.matmul(low, p.core, out=mid)
         x = mid
-    if out is None:
-        out = ws.buf(name, x.shape[:-1] + (p.weight.shape[1],))
     _blocked_into(x, p.weight, p.edges, out)
     if p.bias is not None:
         np.add(out, p.bias, out=out)
-    return out
+    return result
 
 
 def _project(state: FastState, layer: int, role: str, x: np.ndarray,
@@ -962,11 +984,11 @@ def run_model_fast(state: FastState, tokens: np.ndarray, pad_mask=None,
 def logits_fast(state: FastState, hidden: np.ndarray) -> np.ndarray:
     """Epilogue only: final norm + LM head over replicated hidden states.
 
-    Used when a pipelined forward runs its layers in row-microbatches but
-    defers the head to one full-batch call — the head GEMM against the
-    transposed tied-embedding view is the one kernel whose low-order bits
-    depend on the row count, so it must see the same row count as the
-    canonical pass.
+    Used when a pipelined forward runs its multi-token rows in
+    row-microbatches but defers the head to one full-batch call — the
+    head GEMM against the transposed tied-embedding view spans every row,
+    so its low-order bits depend on the row count, and it must see the
+    same row count as the canonical pass.
     """
     region = _Region(state.ctx.__dict__.get("_fast_profiler"), state.ws)
     return _logits(state, np.asarray(hidden, dtype=np.float32), region)

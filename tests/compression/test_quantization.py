@@ -52,6 +52,17 @@ class TestQuantizeWeight:
         assert np.all(grid[:, 1] == 0)
         np.testing.assert_array_equal(dequantize_weight(grid, scales)[:, 1], 0.0)
 
+    @pytest.mark.parametrize("scale_dtype", [np.float32, np.float64])
+    def test_dequantize_matches_the_two_copy_formula(self, scale_dtype):
+        """One cast at most: same values and dtype as multiply-then-astype."""
+        weight = np.random.default_rng(3).normal(size=(24, 40)).astype(np.float32)
+        grid, scales = quantize_weight(weight, bits=8)
+        scales = scales.astype(scale_dtype)
+        expected = (grid.astype(np.float32) * scales[None, :]).astype(np.float32)
+        restored = dequantize_weight(grid, scales)
+        assert restored.dtype == np.float32
+        np.testing.assert_array_equal(restored, expected)
+
     def test_per_channel_scales(self):
         weight = np.ones((4, 2), dtype=np.float32)
         weight[:, 1] = 100.0

@@ -1,6 +1,7 @@
 """Collective semantics: rank-ordered all-gather, stats ledger, aborts."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -33,6 +34,34 @@ def run_ranks(group, fn):
     if errors:
         raise errors[0]
     return results
+
+
+class SlowReaderBarrier:
+    """A group barrier after which one marked rank thread sleeps.
+
+    The marked rank reads every gather's contributions late, while its
+    peers have already left the barrier and run ahead into the next call.
+    """
+
+    def __init__(self, barrier, delay_s: float) -> None:
+        self.barrier = barrier
+        self.delay_s = delay_s
+        self.local = threading.local()
+
+    def mark_slow(self) -> None:
+        self.local.slow = True
+
+    def wait(self):
+        index = self.barrier.wait()
+        if getattr(self.local, "slow", False):
+            time.sleep(self.delay_s)
+        return index
+
+    def abort(self) -> None:
+        self.barrier.abort()
+
+    def reset(self) -> None:
+        self.barrier.reset()
 
 
 class TestHelpers:
@@ -138,3 +167,46 @@ class TestLocalGroup:
         chunks = [np.full(2, rank, dtype=np.float32) for rank in range(2)]
         results = run_ranks(group, lambda rank: group.all_gather(rank, chunks[rank]))
         np.testing.assert_array_equal(results[0], np.array([0, 0, 1, 1], dtype=np.float32))
+
+    @pytest.mark.parametrize("slow_rank", [0, 1, 2])
+    def test_back_to_back_gathers_with_a_slow_rank(self, slow_rank):
+        """The lifetime rule, exercised at its limit.
+
+        One rank reads each gather late.  Its peers rewrite the buffer
+        they contributed to call ``n`` as soon as the rule allows — once
+        they return from call ``n + 1`` — and every rank keeps all its
+        results, so each must still equal the canonical concatenation.
+        """
+        group = LocalGroup(3)
+        barrier = SlowReaderBarrier(group._barrier, delay_s=0.02)
+        group._barrier = barrier
+        calls = 4
+        widths = (1, 2, 3)
+
+        def contribution(rank, call):
+            return np.full((2, widths[rank]), 10 * call + rank, dtype=np.float32)
+
+        def worker(rank):
+            if rank == slow_rank:
+                barrier.mark_slow()
+            # Two buffers per rank, alternating by call, like the fast
+            # path's workspace names: call n's buffer is refilled for
+            # call n + 2, right after call n + 1 returns.
+            buffers = [np.empty((2, widths[rank]), dtype=np.float32) for _ in range(2)]
+            results = []
+            for call in range(calls):
+                buffer = buffers[call % 2]
+                buffer[...] = contribution(rank, call)
+                results.append(group.all_gather(rank, buffer))
+            return results
+
+        per_rank = run_ranks(group, worker)
+        for call in range(calls):
+            expected = np.concatenate(
+                [contribution(rank, call) for rank in range(3)], axis=-1
+            )
+            for rank, results in enumerate(per_rank):
+                np.testing.assert_array_equal(
+                    results[call], expected, err_msg=f"rank {rank}, call {call}"
+                )
+        assert group.stats.calls == calls
