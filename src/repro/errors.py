@@ -49,3 +49,7 @@ class PoolExhaustedError(ServingError):
 
 class ParallelError(ReproError, RuntimeError):
     """The tensor-parallel runtime was misconfigured or a rank failed."""
+
+
+class CollectiveAborted(ParallelError):
+    """A collective or P2P wait ended because a peer rank failed first."""

@@ -269,16 +269,9 @@ class RaggedLayerCaches:
         self,
         caches: Sequence[object],
         new_lengths: np.ndarray,
-        pad_to: int = 0,
     ) -> None:
         self.caches = list(caches)
         self.new_lengths = np.asarray(new_lengths, dtype=np.int64)
-        # Floor on the padded KV width of the batched attention.  A
-        # pipeline's row-microbatches pass the *whole* batch's maximum
-        # total so every chunk reduces over exactly the widths the
-        # full-batch pass would — the padded tail is masked and
-        # contributes exact zeros, keeping chunked execution bit-identical.
-        self.pad_to = int(pad_to)
         if self.new_lengths.ndim != 1 or len(self.caches) != self.new_lengths.shape[0]:
             raise ShapeError(
                 f"need one cache per row: {len(self.caches)} caches, "
@@ -310,7 +303,6 @@ class RaggedModelCaches:
         self,
         caches: Sequence[object],
         new_lengths: np.ndarray,
-        pad_to: int = 0,
     ) -> None:
         if not caches:
             raise ShapeError("ragged batch must contain at least one sequence")
@@ -320,9 +312,7 @@ class RaggedModelCaches:
                 raise ShapeError("all sequence caches must have the same layer count")
         self.sequences = list(caches)
         self.layers: List[RaggedLayerCaches] = [
-            RaggedLayerCaches(
-                [cache.layers[i] for cache in caches], new_lengths, pad_to=pad_to
-            )
+            RaggedLayerCaches([cache.layers[i] for cache in caches], new_lengths)
             for i in range(n_layers)
         ]
 

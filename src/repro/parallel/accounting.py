@@ -6,13 +6,10 @@ gathers the merged attention heads (width ``dim``), the attention output
 (``dim``); after the last layer it gathers the logits (``vocab_size``) —
 so its traffic can be predicted exactly from the padded token count:
 
-    calls    = microbatch_passes * 4 * n_layers + n_forward_calls
+    calls    = forward_calls * (4 * n_layers + 1)
     payload  = 4 bytes * padded_tokens * (n_layers * (3*dim + mlp_hidden)
                                           + vocab_size)
     wire     = (P - 1) * payload
-
-(an unchunked forward is one microbatch pass, recovering the historical
-``n_forward_calls * (4 * n_layers + 1)``)
 
 Gather widths are invariant under decomposition (a factorized projection
 changes the GEMMs, not the gathered activations), and the wire identity
@@ -25,7 +22,6 @@ prints.  Projected latency reuses the hardware model's NVLink ring terms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.hwmodel.device import GPUSpec
 from repro.models.config import ModelConfig
@@ -73,7 +69,6 @@ def analytic_comm(
     padded_tokens: int,
     world_size: int,
     forward_calls: int = 1,
-    microbatch_passes: Optional[int] = None,
 ) -> CommProjection:
     """Exact projection of the executor's all-gather traffic.
 
@@ -81,20 +76,16 @@ def analytic_comm(
     ``forward_calls`` forward passes (padded slots are gathered too — the
     executor moves rectangular tensors).
 
-    The payload identity survives pipelining unchanged: every padded token
-    crosses every layer exactly once regardless of which stage owns the
-    layer, so the summed gather payload depends only on the total token
-    count.  Calls split into per-layer gathers — ``4 * n_layers`` per
-    microbatch pass, distributed over stages as ``sum(4 * stage_layers)``
-    — plus ONE logits gather per logical forward (a chunked pipeline
-    defers the epilogue to a single full-batch head call).  Callers on a
-    (pp, tp) grid pass ``world_size=tp`` (gathers run within a stage's TP
-    group) and ``microbatch_passes``; unchunked callers omit it and the
-    historical ``forward_calls * (4 * n_layers + 1)`` falls out.
+    The identity survives pipelining unchanged: each forward crosses the
+    pipe in one pass, so every padded token crosses every layer exactly
+    once regardless of which stage owns the layer.  A forward's
+    ``4 * n_layers`` per-layer gathers are spread over the stages as
+    ``sum(4 * stage_layers)``, and the last stage adds one logits gather.
+    Callers on a (pp, tp) grid pass ``world_size=tp``: gathers run within
+    a stage's TP group.
     """
-    passes = forward_calls if microbatch_passes is None else microbatch_passes
     payload = BYTES_FP32 * padded_tokens * gathered_width(config)
-    calls = passes * 4 * config.n_layers + forward_calls
+    calls = forward_calls * (4 * config.n_layers + 1)
     return CommProjection(
         world_size=world_size,
         calls=calls,
@@ -108,26 +99,27 @@ def analytic_p2p(
     padded_tokens: int,
     pp: int,
     tp: int,
-    microbatch_passes: int = 1,
+    forward_calls: int = 1,
 ) -> CommProjection:
     """Exact projection of the pipeline's point-to-point traffic.
 
     At each of the ``pp - 1`` stage boundaries every TP rank ships the
-    replicated (B, T, dim) hidden block of its microbatch to the same rank
+    replicated (B, T, dim) hidden block of its forward to the same rank
     of the next stage — one hop, so wire == payload:
 
-        calls    = microbatch_passes * (pp - 1) * tp
+        calls    = forward_calls * (pp - 1) * tp
         payload  = 4 bytes * padded_tokens * dim * (pp - 1) * tp
         wire     = payload
 
-    ``padded_tokens`` is the total across all microbatch passes, exactly
-    as for :func:`analytic_comm`; a 1-stage pipe projects zero traffic.
+    ``padded_tokens`` is the total across the ``forward_calls`` forwards,
+    exactly as for :func:`analytic_comm`; a 1-stage pipe projects zero
+    traffic.
     """
     hops = (pp - 1) * tp
     payload = BYTES_FP32 * padded_tokens * config.dim * hops
     return CommProjection(
         world_size=pp * tp,
-        calls=microbatch_passes * hops,
+        calls=forward_calls * hops,
         payload_bytes=payload,
         wire_bytes=payload,
     )

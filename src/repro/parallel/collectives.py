@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import ParallelError
+from repro.errors import CollectiveAborted, ParallelError
 
 COMM_CHANNELS = ("all_gather", "p2p")
 
@@ -165,7 +165,7 @@ class LocalGroup:
         try:
             self._barrier.wait()
         except threading.BrokenBarrierError as exc:
-            raise ParallelError("collective aborted: a peer rank failed") from exc
+            raise CollectiveAborted("collective aborted: a peer rank failed") from exc
 
     def _lane(self, src: int, dst: int) -> queue.Queue:
         for rank, label in ((src, "src"), (dst, "dst")):
@@ -204,7 +204,7 @@ class LocalGroup:
         item = lane.get()
         if item is _P2P_ABORT:
             lane.put(_P2P_ABORT)  # keep later recvs unblocked too
-            raise ParallelError("p2p recv aborted: a peer rank failed")
+            raise CollectiveAborted("p2p recv aborted: a peer rank failed")
         return item
 
     # -- collectives -------------------------------------------------------

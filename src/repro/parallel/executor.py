@@ -33,7 +33,7 @@ from repro.nn.quantized import dequantize_weight
 from repro.nn.rope import RotaryEmbedding
 from repro.parallel.sharding import ProjectionShard, RankShard
 from repro.runtime.context import ExecutionContext, expand_kv_heads, kv_expand_plan
-from repro.runtime.driver import run_head, run_model
+from repro.runtime.driver import run_model
 from repro.tensor import functional as F
 from repro.tensor.tensor import Tensor
 
@@ -184,20 +184,14 @@ class RankExecutor:
         tokens: np.ndarray,
         pad_mask: Optional[np.ndarray] = None,
         hidden: Optional[np.ndarray] = None,
-        skip_head: bool = False,
     ) -> Tensor:
         """Full uncached forward: (B, T) ids -> replicated (B, T, vocab).
 
         On a non-first pipeline stage ``hidden`` carries the previous
         stage's replicated (B, T, dim) output in place of the embedding;
-        a non-last stage returns the hidden state instead of logits, as
-        does a last stage when ``skip_head`` defers the epilogue to one
-        full-batch :meth:`head_only` call.
+        a non-last stage returns the hidden state instead of logits.
         """
-        return run_model(
-            self.context, tokens, pad_mask=pad_mask, hidden=hidden,
-            skip_head=skip_head,
-        )
+        return run_model(self.context, tokens, pad_mask=pad_mask, hidden=hidden)
 
     def forward_cached(
         self, tokens: np.ndarray, cache, hidden: Optional[np.ndarray] = None
@@ -213,30 +207,13 @@ class RankExecutor:
         caches: Sequence[object],
         new_lengths: np.ndarray,
         hidden: Optional[np.ndarray] = None,
-        pad_to: int = 0,
-        skip_head: bool = False,
     ) -> Tensor:
         """Ragged cached forward over this rank's KV-head slice.
 
         ``caches`` are per-sequence caches holding this rank's covering KV
         heads; the driver bundles one
         :class:`~repro.nn.kv_cache.RaggedLayerCaches` per layer, mirroring
-        the canonical continuous-batching path.  ``pad_to`` floors the
-        padded KV width (see :class:`RaggedModelCaches`) so a pipeline's
-        row-microbatches stay bit-identical to the full-batch pass.
+        the canonical continuous-batching path.
         """
-        ragged = RaggedModelCaches(list(caches), new_lengths, pad_to=pad_to)
-        return run_model(
-            self.context, tokens, caches=ragged, hidden=hidden,
-            skip_head=skip_head,
-        )
-
-    def head_only(self, hidden: np.ndarray) -> Tensor:
-        """Final norm + LM head (+ logits gather) over a full hidden batch.
-
-        The completion of a ``skip_head`` forward: the head GEMM against
-        the transposed tied-embedding view spans every row, so its
-        low-order bits depend on the row count, and a chunked pipeline
-        runs it exactly once with the canonical batch.
-        """
-        return run_head(self.context, hidden)
+        ragged = RaggedModelCaches(list(caches), new_lengths)
+        return run_model(self.context, tokens, caches=ragged, hidden=hidden)

@@ -11,17 +11,15 @@ quacks like the model where the serving engine needs it to — ``config``,
 that gives the engine per-grid-cell paged KV stores holding only each
 cell's covering KV heads *and* its stage's layers.
 
-Pipelining: multi-token batches (prefill) are split into up to ``pp``
-row-microbatches that stream through the stages 1F1B-style — the blocking
-lane queues let stage 0 start microbatch ``m+1`` while stage 1 still runs
-``m`` — and a one-token-per-row batch (decode) travels the pipe as one
-microbatch, one hop per stage.  Splitting multi-token rows is bit-exact:
-each row's weight products are its own GEMMs, of the same shape in any
-chunk; the ragged attention pads every microbatch to the whole batch's
-maximum KV width; and the head, whose tied GEMM spans all rows, runs once
-over the whole batch.  Decode rows are not split because they share one
-GEMM per weight product, and a GEMM row's low bits depend on how many
-rows share it (see :func:`repro.runtime.fastpath.decode_rows`).
+Pipelining: every forward crosses the stages as one pass, one hop per
+stage boundary — stage ``s`` runs the whole batch through its layers and
+hands the hidden state to stage ``s + 1``.  The grid is the surface that
+checks exactness and communication accounting, not a pipeline scheduler:
+its ranks share one host's cores, where splitting a batch into row
+microbatches was measured no faster (EXPERIMENTS.md, "One pipeline pass
+per forward").  One pass also keeps every GEMM, attention width and head
+call at the canonical model's shapes, and a GEMM row's low bits depend on
+how many rows share it (see :func:`repro.runtime.fastpath.decode_rows`).
 
 Exact-equality contract: for identical inputs (and identical per-sequence
 cache histories), ``ShardedLlama(model, tp, pp=pp).forward(x)`` returns
@@ -36,8 +34,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ParallelError
-from repro.nn.linear import block_edges
+from repro.errors import CollectiveAborted, ParallelError
 from repro.parallel.accounting import (
     CommProjection,
     analytic_comm,
@@ -178,7 +175,6 @@ class ShardedLlama:
         tp: int = 1,
         pp: int = 1,
         cut_points: Optional[Tuple[int, ...]] = None,
-        microbatches: Optional[int] = None,
     ) -> None:
         self.config = model.config
         self.mesh = DeviceMesh(tp, pp)
@@ -186,7 +182,6 @@ class ShardedLlama:
         self.pp = self.mesh.pp
         self.world_size = self.mesh.world_size
         self.cut_points = tuple(cut_points) if cut_points is not None else None
-        self._microbatches = microbatches
         self.shards = shard_model(model, self.mesh, cut_points=self.cut_points)
         # All collective groups feed one shared ledger so ``comm_stats``
         # sees the whole grid: one TP group per stage (all-gathers), plus a
@@ -206,9 +201,8 @@ class ShardedLlama:
         self._pool = ThreadPoolExecutor(
             max_workers=self.world_size, thread_name_prefix="mesh-rank"
         )
-        self.padded_tokens = 0     # total padded tokens across forward calls
-        self.forward_calls = 0     # logical forwards (engine steps)
-        self.microbatch_passes = 0  # pipeline passes (chunks) issued
+        self.padded_tokens = 0  # total padded tokens across forward calls
+        self.forward_calls = 0  # forwards (engine steps), one pipe pass each
 
     # -- model facade ------------------------------------------------------
     def eval(self) -> "ShardedLlama":
@@ -227,27 +221,25 @@ class ShardedLlama:
         """Run ``fn(rank)`` on every grid rank in lockstep; propagate failures.
 
         On any rank's exception every group is aborted so peers blocked in
-        a collective or a P2P recv fail fast; the first *causal* exception
-        (not the secondary broken-barrier/aborted-recv ones) is re-raised.
+        a collective or a P2P recv fail fast.  Once every rank has returned,
+        the groups are reset and the first *causal* exception is re-raised:
+        the first that is not a :class:`~repro.errors.CollectiveAborted` a
+        peer saw as a consequence.  If every error is one, the first is.
         """
         futures = [self._pool.submit(self._guard, fn, rank) for rank in range(self.world_size)]
         results: List[object] = []
-        causal: Optional[BaseException] = None
+        errors: List[BaseException] = []
         for future in futures:
             try:
                 results.append(future.result())
-            except ParallelError as exc:
-                results.append(None)
-                if causal is None and "aborted" not in str(exc):
-                    causal = exc
             except BaseException as exc:  # noqa: BLE001 - re-raised below
                 results.append(None)
-                if causal is None:
-                    causal = exc
-        if causal is not None:
+                errors.append(exc)
+        if errors:
             for group in self._all_groups():
                 group.reset()
-            raise causal
+            causal = [exc for exc in errors if not isinstance(exc, CollectiveAborted)]
+            raise (causal or errors)[0]
         return results
 
     def _guard(self, fn, rank: int):
@@ -259,74 +251,37 @@ class ShardedLlama:
             raise
 
     # -- pipeline plumbing -------------------------------------------------
-    def _row_chunks(self, tokens: np.ndarray) -> List[Tuple[int, int]]:
-        """Contiguous row spans for the microbatch passes of one forward.
-
-        Default: up to ``pp`` balanced chunks (1 chunk on a 1-stage pipe).
-        A forward with one token per row is never split: both drivers run
-        its rows as one GEMM per weight product, and a GEMM row's low bits
-        depend on how many rows share it, so a chunk would not match the
-        canonical model.  Splitting multi-token rows preserves the
-        exactness contract: their per-row GEMMs see the same shapes in any
-        chunk, the ragged path pads all chunks to the batch-global KV
-        width, and the row-count-dependent head runs once over the whole
-        batch (see :meth:`_stream`).
-        """
-        rows, seq_len = tokens.shape[0], tokens.shape[1]
-        if seq_len == 1:
-            return [(0, rows)]
-        want = self._microbatches if self._microbatches is not None else self.pp
-        count = max(1, min(int(want), rows))
-        return block_edges(rows, count)
-
     @property
     def _last_stage_rank(self) -> int:
         return (self.pp - 1) * self.tp
 
-    def _stream(self, tokens: np.ndarray, chunks: List[Tuple[int, int]], step) -> Tensor:
-        """One forward: stream row ``chunks`` of ``tokens`` through the pipe.
+    def _stream(self, tokens: np.ndarray, step) -> Tensor:
+        """One forward: ``tokens`` cross the pipe in a single pass.
 
-        ``step(executor, rank, lo, hi, hidden, skip_head)`` runs one rank's
-        pass over rows ``[lo, hi)``; ``hidden`` is the previous stage's
-        output (``None`` on stage 0).  A chunked forward defers the head:
-        the tied-head GEMM's low bits depend on the row count, so the last
-        stage runs its layers per chunk and the epilogue once over the
-        concatenated batch.
+        ``step(executor, rank, hidden)`` runs one rank's part of the
+        forward; ``hidden`` is the previous stage's output (``None`` on
+        stage 0).  The last stage's ranks return the logits.
         """
-        defer_head = len(chunks) > 1
-        self._account(tokens.shape[0] * tokens.shape[1], passes=len(chunks))
+        self._account(tokens.shape[0] * tokens.shape[1])
 
         def work(rank: int) -> Optional[Tensor]:
             stage = rank // self.tp
-            executor = self.executors[rank]
-            outs: List[Tensor] = []
-            for lo, hi in chunks:
-                hidden = self.pipe.recv(rank, rank - self.tp) if stage > 0 else None
-                out = step(executor, rank, lo, hi, hidden, defer_head)
-                if stage < self.pp - 1:
-                    self.pipe.send(rank, rank + self.tp, out.data)
-                else:
-                    outs.append(out)
-            if stage < self.pp - 1:
-                return None
-            if defer_head:
-                return executor.head_only(
-                    np.concatenate([out.data for out in outs], axis=0)
-                )
-            return outs[0]
+            hidden = self.pipe.recv(rank, rank - self.tp) if stage > 0 else None
+            out = step(self.executors[rank], rank, hidden)
+            if stage == self.pp - 1:
+                return out
+            self.pipe.send(rank, rank + self.tp, out.data)
+            return None
 
         return self._run(work)[self._last_stage_rank]
 
     def forward(self, tokens: np.ndarray, pad_mask: Optional[np.ndarray] = None) -> Tensor:
         tokens = np.asarray(tokens)
 
-        def step(executor, rank, lo, hi, hidden, skip_head):
-            mask = pad_mask[lo:hi] if pad_mask is not None else None
-            return executor.forward(
-                tokens[lo:hi], pad_mask=mask, hidden=hidden, skip_head=skip_head
-            )
+        def step(executor, rank, hidden):
+            return executor.forward(tokens, pad_mask=pad_mask, hidden=hidden)
 
-        return self._stream(tokens, self._row_chunks(tokens), step)
+        return self._stream(tokens, step)
 
     def __call__(self, tokens: np.ndarray, pad_mask: Optional[np.ndarray] = None) -> Tensor:
         return self.forward(tokens, pad_mask=pad_mask)
@@ -340,38 +295,28 @@ class ShardedLlama:
         tokens = np.asarray(tokens)
         lengths = np.asarray(new_lengths, dtype=np.int64)
         caches = list(caches)
-        # Pad every microbatch's attention to the whole batch's maximum KV
-        # width so chunked reductions match the full-batch pass bit for bit.
-        offsets = np.asarray([cache.seq_len for cache in caches], dtype=np.int64)
-        pad_to = int((offsets + lengths).max())
 
-        def step(executor, rank, lo, hi, hidden, skip_head):
+        def step(executor, rank, hidden):
             return executor.forward_ragged(
-                tokens[lo:hi],
-                [cache.rank_caches[rank] for cache in caches[lo:hi]],
-                lengths[lo:hi],
+                tokens, [cache.rank_caches[rank] for cache in caches], lengths,
                 hidden=hidden,
-                pad_to=pad_to,
-                skip_head=skip_head,
             )
 
-        return self._stream(tokens, self._row_chunks(tokens), step)
+        return self._stream(tokens, step)
 
     def forward_cached(self, tokens: np.ndarray, cache: ShardedSequenceCache) -> Tensor:
         """Forward over new ``tokens`` only, extending ``cache`` in place.
 
         With :meth:`make_cache` this completes the cached-decoding surface
         the runtime :class:`~repro.runtime.decode.DecodeSession` drives, so
-        greedy generation runs on the grid without code changes.  The
-        batch shares one cache, so a decode step is a single microbatch
-        streaming through the pipe one hop at a time.
+        greedy generation runs on the grid without code changes.
         """
         tokens = np.asarray(tokens)
 
-        def step(executor, rank, lo, hi, hidden, skip_head):
+        def step(executor, rank, hidden):
             return executor.forward_cached(tokens, cache.rank_caches[rank], hidden=hidden)
 
-        return self._stream(tokens, [(0, tokens.shape[0])], step)
+        return self._stream(tokens, step)
 
     # -- serving hooks -----------------------------------------------------
     def make_kv_pool(self, n_blocks: int, block_tokens: int) -> ShardedPagedStore:
@@ -390,10 +335,9 @@ class ShardedLlama:
         )
 
     # -- communication accounting -----------------------------------------
-    def _account(self, padded: int, passes: int = 1) -> None:
+    def _account(self, padded: int) -> None:
         self.padded_tokens += int(padded)
         self.forward_calls += 1
-        self.microbatch_passes += int(passes)
 
     def comm_stats(self) -> CommStats:
         """The grid-wide shared ledger (all stages and the P2P lanes)."""
@@ -403,16 +347,14 @@ class ShardedLlama:
         """Analytic all-gather traffic for the forwards issued so far —
         must match the ledger's ``all_gather`` channel byte for byte."""
         return analytic_comm(
-            self.config, self.padded_tokens, self.tp,
-            self.forward_calls, self.microbatch_passes,
+            self.config, self.padded_tokens, self.tp, self.forward_calls
         )
 
     def p2p_projection(self) -> CommProjection:
         """Analytic stage-boundary P2P traffic — must match the ledger's
         ``p2p`` channel byte for byte (zero on a 1-stage pipe)."""
         return analytic_p2p(
-            self.config, self.padded_tokens, self.pp, self.tp,
-            self.microbatch_passes,
+            self.config, self.padded_tokens, self.pp, self.tp, self.forward_calls
         )
 
     def comm_projections(self) -> dict:

@@ -202,10 +202,7 @@ def _attention_ragged(
     q = ctx.rope(q, offsets)
     k = ctx.rope(k, offsets)
     totals = offsets + lengths
-    # pad_to floors the padded width so a pipeline's row-microbatches
-    # reduce over exactly the widths the full-batch pass would; the extra
-    # masked columns contribute exact zeros.
-    max_total = max(int(totals.max()), getattr(ragged, "pad_to", 0))
+    max_total = int(totals.max())
     full_k = np.zeros(
         (batch, ctx.n_kv_heads, max_total, ctx.head_dim), dtype=np.float32
     )
@@ -262,7 +259,6 @@ def run_model(
     pad_mask: Optional[np.ndarray] = None,
     caches=None,
     hidden: Optional[np.ndarray] = None,
-    skip_head: bool = False,
 ) -> Tensor:
     """(B, T) token ids through every layer to (B, T, vocab) logits.
 
@@ -277,9 +273,6 @@ def run_model(
     False takes the previous stage's replicated (B, T, D) ``hidden`` block
     instead of embedding tokens, and one whose ``has_head`` is False
     returns the hidden state after its layer run instead of logits.
-    ``skip_head`` makes a head-holding last stage do the same for one
-    call — a chunked pipeline defers the epilogue to a single full-batch
-    :func:`run_head` so the head GEMM sees the canonical row count.
     """
     # Imported here, not at module level, so the fast path stays an
     # implementation detail of this dispatch (and to keep import order
@@ -301,8 +294,7 @@ def run_model(
     if state is not None:
         return Tensor(
             fastpath.run_model_fast(
-                state, tokens, pad_mask=pad_mask, caches=caches, hidden=hidden,
-                skip_head=skip_head,
+                state, tokens, pad_mask=pad_mask, caches=caches, hidden=hidden
             )
         )
     if hidden is not None:
@@ -312,7 +304,7 @@ def run_model(
     for layer in range(ctx.n_layers):
         cache = None if caches is None else caches.layers[layer]
         x = run_layer(ctx, layer, x, pad_mask=pad_mask, cache=cache)
-    if not has_head or skip_head:
+    if not has_head:
         return x
     return _decode_rows(ctx.logits, x)
 
@@ -347,22 +339,6 @@ def _check_distinct_sequences(caches) -> None:
     rows = caches.layers[0].caches
     if len(set(rows)) != len(rows):
         raise ShapeError("a ragged batch lists the same sequence cache twice")
-
-
-def run_head(ctx: ExecutionContext, hidden) -> Tensor:
-    """Epilogue only: final norm + LM head over replicated hidden states.
-
-    The pipelined counterpart to ``skip_head`` — after a last stage has
-    run its layers over row-microbatches, the concatenated hidden batch
-    goes through the head exactly once, with the full row count.
-    """
-    from repro.runtime import fastpath
-
-    state = fastpath.active_state(ctx)
-    if state is not None:
-        return Tensor(fastpath.logits_fast(state, hidden))
-    x = hidden if isinstance(hidden, Tensor) else Tensor(hidden)
-    return _decode_rows(ctx.logits, x)
 
 
 class ModelRuntime:

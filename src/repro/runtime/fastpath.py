@@ -710,9 +710,7 @@ def _plan_ragged(state: FastState, caches, batch: int, max_new: int) -> _RaggedP
     plan.batch, plan.max_new = batch, max_new
     plan.offsets = offsets
     plan.counts = counts = lengths.tolist()
-    # pad_to floors the padded width so a pipeline's row-microbatches
-    # reduce over exactly the widths the full-batch pass would.
-    plan.width = max(int(totals.max()), first.pad_to)
+    plan.width = int(totals.max())
 
     plan.cos = plan.sin = None
     rope = state.rope
@@ -950,7 +948,7 @@ def _logits(state: FastState, x: np.ndarray, region: _Region) -> np.ndarray:
 
 
 def run_model_fast(state: FastState, tokens: np.ndarray, pad_mask=None,
-                   caches=None, hidden=None, skip_head=False) -> np.ndarray:
+                   caches=None, hidden=None) -> np.ndarray:
     """(B, T) ids -> freshly allocated (B, T, vocab) logits, no autograd.
 
     On a pipeline stage, ``hidden`` replaces the embedding with the
@@ -976,22 +974,9 @@ def run_model_fast(state: FastState, tokens: np.ndarray, pad_mask=None,
     if plan is not None:
         for after in plan.afters:
             after()
-    if state.head is None or skip_head:
+    if state.head is None:
         return x.copy()
     return _logits(state, x, region)
-
-
-def logits_fast(state: FastState, hidden: np.ndarray) -> np.ndarray:
-    """Epilogue only: final norm + LM head over replicated hidden states.
-
-    Used when a pipelined forward runs its multi-token rows in
-    row-microbatches but defers the head to one full-batch call — the
-    head GEMM against the transposed tied-embedding view spans every row,
-    so its low-order bits depend on the row count, and it must see the
-    same row count as the canonical pass.
-    """
-    region = _Region(state.ctx.__dict__.get("_fast_profiler"), state.ws)
-    return _logits(state, np.asarray(hidden, dtype=np.float32), region)
 
 
 __all__ = [
@@ -1002,7 +987,6 @@ __all__ = [
     "disable_profiling",
     "disabled",
     "enable_profiling",
-    "logits_fast",
     "run_model_fast",
     "workspace_of",
 ]

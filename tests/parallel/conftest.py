@@ -86,6 +86,22 @@ def assert_valid_rows_equal(got: np.ndarray, want: np.ndarray, lengths) -> None:
         np.testing.assert_array_equal(got[row, :length], want[row, :length])
 
 
+def assert_one_pipe_pass(sharded, forward):
+    """Run ``forward()`` and check, from the measured ledger, that it
+    crossed the pipe once: ``4 * n_layers + 1`` all-gathers (four per
+    layer plus the logits) and one send per TP rank per stage boundary.
+    Returns what ``forward()`` returned."""
+    stats = sharded.comm_stats()
+    before = {name: stats.channel(name)["calls"] for name in ("all_gather", "p2p")}
+    result = forward()
+    logged = {name: stats.channel(name)["calls"] - calls for name, calls in before.items()}
+    assert logged == {
+        "all_gather": 4 * sharded.config.n_layers + 1,
+        "p2p": (sharded.pp - 1) * sharded.tp,
+    }
+    return result
+
+
 def run_canonical_ragged(model):
     """Reference logits per step from the canonical single-process model."""
     from repro.nn.kv_cache import ModelKVCache

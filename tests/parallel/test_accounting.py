@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.hwmodel.device import get_gpu
-from repro.parallel import ShardedLlama, analytic_comm, gathered_width
+from repro.parallel import ShardedLlama, analytic_comm, analytic_p2p, gathered_width
 
 from tests.parallel.conftest import TINY, build_tiny, prompt_batch, ragged_steps
 
@@ -20,6 +20,13 @@ class TestAnalyticFormulas:
         assert proj.payload_bytes == 4 * 10 * gathered_width(TINY)
         assert proj.wire_bytes == 3 * proj.payload_bytes
         assert proj.to_dict()["wire_bytes"] == proj.wire_bytes
+
+    def test_p2p_projection_arithmetic(self):
+        """One send per TP rank per stage boundary per forward."""
+        proj = analytic_p2p(TINY, padded_tokens=10, pp=3, tp=2, forward_calls=4)
+        assert proj.calls == 4 * (3 - 1) * 2
+        assert proj.payload_bytes == 4 * 10 * TINY.dim * (3 - 1) * 2
+        assert proj.wire_bytes == proj.payload_bytes
 
     def test_single_rank_latency_is_zero(self):
         proj = analytic_comm(TINY, padded_tokens=10, world_size=1)

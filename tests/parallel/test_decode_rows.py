@@ -1,10 +1,10 @@
 """A decode batch is one GEMM per weight product, and the pipe keeps it whole.
 
 Both drivers run a forward with one token per row and ``B > 1`` rows as
-one ``(B, D)`` GEMM per weight product.  With this host's BLAS a GEMM
-row's low bits depend on the row count for some serve-llama shapes, so
-``ShardedLlama`` must stream such a forward as a single microbatch: split
-into per-stage chunks, its rows would no longer match the canonical
+one ``(B, D)`` GEMM per weight product.  With OpenBLAS a GEMM row's low
+bits depend on the row count for some serve-llama shapes, so
+``ShardedLlama`` must carry such a forward through the pipe in one pass:
+split into row chunks, its rows would no longer match the canonical
 model.  The tiny test model is too small to show it, so this runs the
 16-row decode step of the closed-loop serving workloads on serve-llama.
 """
@@ -19,6 +19,8 @@ from repro.models import build_model
 from repro.models.registry import get_config
 from repro.nn.kv_cache import ModelKVCache
 from repro.parallel import ShardedLlama
+
+from tests.parallel.conftest import assert_one_pipe_pass
 
 SERVE = get_config("serve-llama")
 ROWS = 16
@@ -64,9 +66,9 @@ def test_pp2_decode_step_matches_canonical(serve_models, variant, tp):
     try:
         shard_caches = [sharded.make_cache() for _ in range(ROWS)]
         sharded.forward_ragged(prompts, shard_caches, lengths)
-        passes = sharded.microbatch_passes
-        got = sharded.forward_ragged(step, shard_caches, ones).data
-        assert sharded.microbatch_passes == passes + 1
+        got = assert_one_pipe_pass(
+            sharded, lambda: sharded.forward_ragged(step, shard_caches, ones)
+        ).data
     finally:
         sharded.close()
     np.testing.assert_array_equal(got, expected)

@@ -3,9 +3,10 @@
 One rank's all-gather raises partway through a forward while its tensor
 peers wait in the group barrier and later stages wait on a P2P recv.  The
 facade must abort every group so those waits end, re-raise the rank's own
-exception (not the secondary broken-barrier ``ParallelError`` its peers
-see), and reset the groups so the next forward is bit-identical to the
-canonical model.
+exception (not the secondary ``CollectiveAborted`` its peers see), and
+reset the groups so the next forward is bit-identical to the canonical
+model.  The rank's fault may itself be a ``ParallelError`` that says
+"aborted": the facade tells it from its peers' by type, not by message.
 """
 
 import threading
@@ -13,6 +14,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.errors import ParallelError
 from repro.parallel import ShardedLlama
 
 from tests.parallel.conftest import (
@@ -31,21 +33,25 @@ class InjectedFault(RuntimeError):
     pass
 
 
-def inject_fault(sharded: ShardedLlama, flat_rank: int) -> None:
-    """Make ``flat_rank`` raise on its ``FAIL_ON_CALL``-th all-gather."""
+def inject_fault(sharded: ShardedLlama, flat_rank: int, make_fault) -> list:
+    """Make ``flat_rank`` raise ``make_fault(flat_rank)`` on its
+    ``FAIL_ON_CALL``-th all-gather; returns the list it is recorded in."""
     group = sharded.stage_groups[flat_rank // sharded.tp]
     tp_rank = flat_rank % sharded.tp
     real = group.all_gather
     calls = [0]
+    raised = []
 
     def all_gather(rank, array, axis=-1):
         if rank == tp_rank:
             calls[0] += 1
             if calls[0] == FAIL_ON_CALL:
-                raise InjectedFault(f"rank {flat_rank} failed")
+                raised.append(make_fault(flat_rank))
+                raise raised[-1]
         return real(rank, array, axis=axis)
 
     group.all_gather = all_gather
+    return raised
 
 
 def heal(sharded: ShardedLlama) -> None:
@@ -85,15 +91,19 @@ def run_ragged(sharded: ShardedLlama, caches):
 @pytest.mark.parametrize("failing", ["first", "last"])
 @pytest.mark.parametrize("pp,tp", GRID, ids=[f"pp{p}tp{t}" for p, t in GRID])
 class TestRankFailure:
+    @staticmethod
+    def make_fault(rank: int) -> BaseException:
+        return InjectedFault(f"rank {rank} failed")
+
     def test_plain_forward(self, variant_models, pp, tp, failing):
         model = variant_models["dense"]
         tokens = prompt_batch(3, 7)
         sharded = ShardedLlama(model, tp, pp=pp)
         try:
             rank = 0 if failing == "first" else sharded.world_size - 1
-            inject_fault(sharded, rank)
+            raised = inject_fault(sharded, rank, self.make_fault)
             exc = call_with_deadline(lambda: sharded.forward(tokens))
-            assert isinstance(exc, InjectedFault), exc
+            assert raised and exc is raised[0], exc
             heal(sharded)
             got = sharded.forward(tokens).data
         finally:
@@ -106,17 +116,26 @@ class TestRankFailure:
         sharded = ShardedLlama(model, tp, pp=pp)
         try:
             rank = 0 if failing == "first" else sharded.world_size - 1
-            inject_fault(sharded, rank)
+            raised = inject_fault(sharded, rank, self.make_fault)
             exc = call_with_deadline(
                 lambda: run_ragged(sharded, ragged_caches(sharded))
             )
-            assert isinstance(exc, InjectedFault), exc
+            assert raised and exc is raised[0], exc
             heal(sharded)
             got = run_ragged(sharded, ragged_caches(sharded))
         finally:
             sharded.close()
         for (_, lengths), g, e in zip(ragged_steps(), got, references):
             assert_valid_rows_equal(g, e, lengths)
+
+
+class TestAbortedParallelError(TestRankFailure):
+    """The failing rank raises a ``ParallelError`` whose message says
+    "aborted", as its peers' secondary errors do."""
+
+    @staticmethod
+    def make_fault(rank: int) -> BaseException:
+        return ParallelError(f"rank {rank}: shard weights aborted mid-load")
 
 
 def test_injected_fault_fires_mid_forward(variant_models):

@@ -15,6 +15,7 @@ from repro.parallel import ShardedLlama
 
 from tests.parallel.conftest import (
     VARIANT_BUILDERS,
+    assert_one_pipe_pass,
     assert_valid_rows_equal,
     prompt_batch,
     ragged_steps,
@@ -95,6 +96,20 @@ class TestGridLedger:
         finally:
             sharded.close()
 
+    @pytest.mark.parametrize("tp", [1, 2])
+    def test_ragged_prefill_is_one_pipe_pass(self, variant_models, tp):
+        """A multi-token ragged prefill crosses a two-stage pipe once."""
+        model = variant_models["dense"]
+        tokens, lengths = ragged_steps()[0]
+        sharded = ShardedLlama(model, tp, pp=2)
+        try:
+            caches = [sharded.make_cache() for _ in range(2)]
+            assert_one_pipe_pass(
+                sharded, lambda: sharded.forward_ragged(tokens, caches, lengths)
+            )
+        finally:
+            sharded.close()
+
     def test_single_stage_pipe_has_no_p2p(self, variant_models):
         model = variant_models["dense"]
         sharded = ShardedLlama(model, 2, pp=1)
@@ -133,19 +148,5 @@ class TestGridOverrides:
         sharded = ShardedLlama(model, 1, pp=2, cut_points=(1,))
         try:
             np.testing.assert_array_equal(sharded.forward(tokens).data, expected)
-        finally:
-            sharded.close()
-
-    def test_microbatch_override_stays_exact(self, variant_models):
-        """Forcing more microbatches than the default min(pp, rows) keeps
-        ragged outputs exact (pad_to pins the reduction width)."""
-        model = variant_models["dense"]
-        references = run_canonical_ragged(model)
-        sharded = ShardedLlama(model, 1, pp=2, microbatches=2)
-        try:
-            caches = [sharded.make_cache() for _ in range(2)]
-            for (tokens, lengths), expected in zip(ragged_steps(), references):
-                got = sharded.forward_ragged(tokens, caches, lengths).data
-                assert_valid_rows_equal(got, expected, lengths)
         finally:
             sharded.close()

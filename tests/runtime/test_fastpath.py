@@ -272,8 +272,8 @@ STAGING_SCHEDULES = {
 def test_ragged_staging_matches_tensor_path(store, schedule):
     """Multi-step ragged schedules, fast path vs Tensor path, bit for bit.
 
-    ``pp2`` runs both variants on a two-stage pipeline, whose row
-    microbatches reuse staging rows 0..k in every chunk; ``tp2-split``
+    ``pp2`` runs both variants on a two-stage pipeline, where each
+    stage's fast path stages only its own layers; ``tp2-split``
     shards 6 query / 3 KV heads over two ranks, so a KV group is split
     and each rank's KV heads serve query-head runs of unequal length.
     """
