@@ -6,8 +6,9 @@ SwiGLU MLP, final RMSNorm, and an (untied by default) LM head.  Every
 decomposable weight tensor carries one of the paper's role names
 (``w_q, w_k, w_v, w_so, w_g, w_u, w_d``).
 
-All forward flavors (stateless, KV-cached, ragged continuous-batching) and
-the greedy generation loop are executed by the shared runtime layer
+Both forward flavors (stateless, and ragged cached — of which single-sequence
+cached decoding is the one-row case) and the greedy generation loop are
+executed by the shared runtime layer
 (:mod:`repro.runtime`): the model owns weights and wires them into a
 :class:`~repro.runtime.context.CanonicalBlocksContext`, and the runtime
 driver runs the layer program over it.
@@ -42,7 +43,11 @@ from repro.tensor.tensor import Tensor
 
 
 class LlamaBlock(Module):
-    """One decoder layer: x += attn(norm(x)); x += mlp(norm(x))."""
+    """One decoder layer's weights: attention, MLP and their pre-norms.
+
+    The runtime driver runs the layer (x += attn(norm(x)); x += mlp(norm(x)))
+    through :class:`~repro.runtime.context.CanonicalBlocksContext`.
+    """
 
     def __init__(
         self,
@@ -65,13 +70,6 @@ class LlamaBlock(Module):
         self.mlp = SwiGluMLP(
             config.dim, config.mlp_hidden, rng=rng, n_blocks=config.n_heads
         )
-
-    def forward(
-        self, x: Tensor, pad_mask: Optional[np.ndarray] = None, cache=None
-    ) -> Tensor:
-        x = x + self.attn(self.attn_norm(x), pad_mask=pad_mask, cache=cache)
-        x = x + self.mlp(self.mlp_norm(x))
-        return x
 
     def tensor_slot(self, role: str):
         """Return (owner module, attribute name) for a decomposable role."""
@@ -176,8 +174,10 @@ class LlamaModel(Module):
         return ModelKVCache(self.n_layers)
 
     def forward_cached(self, tokens: np.ndarray, cache) -> Tensor:
-        """Forward over new ``tokens`` only, extending ``cache`` in place."""
-        return self.runtime.forward_cached(np.asarray(tokens), cache)
+        """Forward over one row of new ``tokens``, extending ``cache`` in
+        place: the one-row :meth:`forward_ragged` (ShapeError for more rows).
+        """
+        return self.forward_ragged(tokens, [cache], [np.shape(tokens)[-1]])
 
     def greedy_generate(
         self,

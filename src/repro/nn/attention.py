@@ -82,28 +82,12 @@ class MultiHeadAttention(Module):
         self._out_edges = block_edges(dim, self.n_heads)
         self._runtime_ctx = AttentionModuleContext(self)
 
-    def forward(
-        self,
-        x: Tensor,
-        pad_mask: Optional[np.ndarray] = None,
-        cache=None,
-    ) -> Tensor:
-        """Attend over ``x`` (B, T, D).
+    def forward(self, x: Tensor, pad_mask: Optional[np.ndarray] = None) -> Tensor:
+        """Attend over ``x`` (B, T, D), with no KV cache.
 
         ``pad_mask`` is an optional boolean (B, T) array, True at padding
-        positions that must not be attended to.  ``cache`` is an optional
-        :class:`~repro.nn.kv_cache.LayerKVCache` holding keys/values of
-        previously processed positions; when given, ``x`` contains only the
-        *new* positions, the cache is extended in place, and gradients do
-        not flow into cached history (inference-only path).
-
-        ``cache`` may instead be a
-        :class:`~repro.nn.kv_cache.RaggedLayerCaches` bundling one cache per
-        batch row, in which case ``x`` is a right-padded batch of new
-        positions for *independent* sequences at different depths (the
-        continuous-batching path); padded slots produce garbage that the
-        caller discards.
+        positions that must not be attended to.  Cached decoding is a
+        whole-model forward (``LlamaModel.forward_ragged``), which runs the
+        runtime's ragged kernel over this module's weights.
         """
-        return _attention_kernel(
-            self._runtime_ctx, 0, x, pad_mask=pad_mask, cache=cache
-        )
+        return _attention_kernel(self._runtime_ctx, 0, x, pad_mask=pad_mask)

@@ -32,8 +32,10 @@ goes through the same checks.
 
 :class:`RaggedLayerCaches` / :class:`RaggedModelCaches` bundle several
 independent per-sequence caches into one batch object so a single forward
-pass can serve sequences of different lengths — the interface the
-continuous-batching engine in :mod:`repro.serving` drives.
+pass can serve sequences of different lengths.  It is the one cached
+forward: the continuous-batching engine in :mod:`repro.serving` drives it
+with many rows, and single-sequence decoding (``forward_cached``) is its
+one-row case; the only other regime is the stateless forward.
 """
 
 from __future__ import annotations
@@ -261,26 +263,13 @@ class RaggedLayerCaches:
     Row ``b`` of the batched input contributes ``new_lengths[b]`` valid
     (right-padded) positions which are appended to ``caches[b]``; each
     sequence keeps its own history length, so the batch is "ragged".
-    :class:`~repro.nn.attention.MultiHeadAttention` dispatches on this type
-    to run the padded batched attention path.
+    A view built by :class:`RaggedModelCaches`, which validates the
+    lengths once for every layer.
     """
 
-    def __init__(
-        self,
-        caches: Sequence[object],
-        new_lengths: np.ndarray,
-    ) -> None:
-        self.caches = list(caches)
-        self.new_lengths = np.asarray(new_lengths, dtype=np.int64)
-        if self.new_lengths.ndim != 1 or len(self.caches) != self.new_lengths.shape[0]:
-            raise ShapeError(
-                f"need one cache per row: {len(self.caches)} caches, "
-                f"lengths shape {self.new_lengths.shape}"
-            )
-        if len(self.caches) == 0:
-            raise ShapeError("ragged batch must contain at least one sequence")
-        if np.any(self.new_lengths < 0):
-            raise ShapeError("new_lengths must be non-negative")
+    def __init__(self, caches: Sequence[object], new_lengths: np.ndarray) -> None:
+        self.caches = caches
+        self.new_lengths = new_lengths
 
     def __len__(self) -> int:
         return len(self.caches)
@@ -295,25 +284,27 @@ class RaggedLayerCaches:
 class RaggedModelCaches:
     """Batch view over per-sequence :class:`ModelKVCache`-compatible caches.
 
-    Exposes ``.layers`` like :class:`ModelKVCache` so the model's cached
-    forward loop works unchanged.
+    ``new_lengths`` is converted and checked here, once per forward; each
+    of the per-layer :class:`RaggedLayerCaches` in ``.layers`` shares it.
     """
 
-    def __init__(
-        self,
-        caches: Sequence[object],
-        new_lengths: np.ndarray,
-    ) -> None:
-        if not caches:
+    def __init__(self, caches: Sequence[object], new_lengths) -> None:
+        self.sequences = list(caches)
+        self.new_lengths = np.asarray(new_lengths, dtype=np.int64)
+        if self.new_lengths.shape != (len(self.sequences),):
+            raise ShapeError(
+                f"need one cache per row: {len(self.sequences)} caches, "
+                f"lengths shape {self.new_lengths.shape}"
+            )
+        if not self.sequences:
             raise ShapeError("ragged batch must contain at least one sequence")
-        n_layers = len(caches[0].layers)
-        for cache in caches:
+        n_layers = len(self.sequences[0].layers)
+        for cache in self.sequences:
             if len(cache.layers) != n_layers:
                 raise ShapeError("all sequence caches must have the same layer count")
-        self.sequences = list(caches)
         self.layers: List[RaggedLayerCaches] = [
-            RaggedLayerCaches([cache.layers[i] for cache in caches], new_lengths)
-            for i in range(n_layers)
+            RaggedLayerCaches(rows, self.new_lengths)
+            for rows in zip(*(cache.layers for cache in self.sequences))
         ]
 
     def __len__(self) -> int:

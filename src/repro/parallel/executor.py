@@ -193,14 +193,6 @@ class RankExecutor:
         """
         return run_model(self.context, tokens, pad_mask=pad_mask, hidden=hidden)
 
-    def forward_cached(
-        self, tokens: np.ndarray, cache, hidden: Optional[np.ndarray] = None
-    ) -> Tensor:
-        """Forward over new ``tokens`` only, extending the rank-local
-        ``cache`` (a :class:`~repro.nn.kv_cache.ModelKVCache` holding this
-        rank's covering KV heads) in place."""
-        return run_model(self.context, tokens, caches=cache, hidden=hidden)
-
     def forward_ragged(
         self,
         tokens: np.ndarray,
@@ -215,5 +207,5 @@ class RankExecutor:
         :class:`~repro.nn.kv_cache.RaggedLayerCaches` per layer, mirroring
         the canonical continuous-batching path.
         """
-        ragged = RaggedModelCaches(list(caches), new_lengths)
+        ragged = RaggedModelCaches(caches, new_lengths)
         return run_model(self.context, tokens, caches=ragged, hidden=hidden)

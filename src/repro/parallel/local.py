@@ -34,7 +34,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import CollectiveAborted, ParallelError
+from repro.errors import CollectiveAborted, ParallelError, ShapeError
 from repro.parallel.accounting import (
     CommProjection,
     analytic_comm,
@@ -295,6 +295,13 @@ class ShardedLlama:
         tokens = np.asarray(tokens)
         lengths = np.asarray(new_lengths, dtype=np.int64)
         caches = list(caches)
+        # Checked here as well as on every rank, so a bad batch fails
+        # before any rank (or pipeline stage) starts.
+        if tokens.ndim != 2 or tokens.shape[0] != len(caches):
+            raise ShapeError(
+                f"need (B, T) token ids with one cache per row: got shape "
+                f"{tokens.shape}, {len(caches)} caches"
+            )
 
         def step(executor, rank, hidden):
             return executor.forward_ragged(
@@ -305,18 +312,14 @@ class ShardedLlama:
         return self._stream(tokens, step)
 
     def forward_cached(self, tokens: np.ndarray, cache: ShardedSequenceCache) -> Tensor:
-        """Forward over new ``tokens`` only, extending ``cache`` in place.
+        """Forward over one row of new ``tokens``, extending ``cache`` in
+        place: the one-row :meth:`forward_ragged` (ShapeError for more rows).
 
         With :meth:`make_cache` this completes the cached-decoding surface
         the runtime :class:`~repro.runtime.decode.DecodeSession` drives, so
         greedy generation runs on the grid without code changes.
         """
-        tokens = np.asarray(tokens)
-
-        def step(executor, rank, hidden):
-            return executor.forward_cached(tokens, cache.rank_caches[rank], hidden=hidden)
-
-        return self._stream(tokens, step)
+        return self.forward_ragged(tokens, [cache], [np.shape(tokens)[-1]])
 
     # -- serving hooks -----------------------------------------------------
     def make_kv_pool(self, n_blocks: int, block_tokens: int) -> ShardedPagedStore:

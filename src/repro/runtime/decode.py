@@ -13,7 +13,7 @@ The session runs against any model exposing the cached-decoding surface::
 
     config.max_seq_len
     forward(tokens)                  # full stateless forward
-    forward_cached(tokens, cache)    # extend `cache` with new positions
+    forward_cached(tokens, cache)    # extend `cache` by one (1, T) row
     make_cache()                     # fresh whole-model KV cache
 
 which :class:`~repro.models.llama.LlamaModel` and
@@ -76,6 +76,14 @@ class DecodeState:
         elif len(self.tokens) >= self.max_new_tokens:
             self.finish_reason = FINISH_MAX_TOKENS
         return self.finish_reason
+
+
+def _check_budget(max_new_tokens: int) -> int:
+    """The generation budget as an int (ConfigError when negative)."""
+    budget = int(max_new_tokens)
+    if budget < 0:
+        raise ConfigError(f"max_new_tokens must be >= 0, got {budget}")
+    return budget
 
 
 def _as_prompt_row(prompt: np.ndarray) -> np.ndarray:
@@ -160,7 +168,11 @@ class DecodeSession:
         drafter model — routes the generation through the drafter/verifier
         loop instead; the tokens are guaranteed identical, only the forward
         schedule changes.  Counters land on ``self.spec_stats``.
+
+        A budget of 0 returns the prompt unchanged on every path; a
+        negative one raises ConfigError.
         """
+        max_new_tokens = _check_budget(max_new_tokens)
         if speculative is not None:
             if not use_cache:
                 raise ConfigError(
@@ -179,6 +191,8 @@ class DecodeSession:
             self.spec_stats = session.stats
             return out
         tokens = _as_prompt_row(prompt)
+        if max_new_tokens == 0:
+            return tokens[0].copy()
         if not use_cache:
             return self._generate_recompute(tokens, max_new_tokens, stop_token)
         window_limit = self.model.config.max_seq_len
@@ -207,9 +221,7 @@ class DecodeSession:
         max_new_tokens: int,
         stop_token: Optional[int],
     ) -> np.ndarray:
-        tokens = _as_prompt_row(tokens)
-        if max_new_tokens < 1:
-            return tokens[0]
+        """Windowed recomputation of one (1, T) row; the budget is >= 1."""
         window_limit = self.model.config.max_seq_len
         state = DecodeState(max_new_tokens, stop_token)
         row = _TokenRow(tokens, reserve=max_new_tokens)

@@ -3,13 +3,13 @@
 ``run_model`` / ``run_layer`` execute the decoder schedule — pre-norm
 attention and SwiGLU MLP with residual adds — against an
 :class:`~repro.runtime.context.ExecutionContext`.  The attention kernels
-handle all three cache regimes through one dispatch:
+serve two cache regimes:
 
-- ``cache is None``: full self-attention over the input window;
-- :class:`~repro.nn.kv_cache.LayerKVCache`: incremental decoding — the
-  input holds only new positions, appended to one shared-history cache;
+- no cache: full self-attention over the input window (with an optional
+  padding mask);
 - :class:`~repro.nn.kv_cache.RaggedLayerCaches`: a right-padded batch of
-  *independent* sequences at different depths (continuous batching).
+  *independent* sequences at different depths, each extending its own
+  cache.  Single-sequence cached decoding is its one-row case.
 
 Callers: :class:`~repro.models.llama.LlamaModel` (canonical context),
 :class:`~repro.parallel.executor.RankExecutor` (sharded context),
@@ -39,28 +39,23 @@ NEG_INF = -1e9
 
 
 @lru_cache(maxsize=256)
-def _causal_mask_cached(seq_len: int, offset: int) -> np.ndarray:
-    total = offset + seq_len
-    query_pos = offset + np.arange(seq_len)[:, None]
-    key_pos = np.arange(total)[None, :]
-    mask = key_pos > query_pos
-    # Cached arrays are shared across every layer of every step that hits
-    # the same (seq_len, offset); freezing them keeps sharing safe.
+def _causal_mask_cached(seq_len: int) -> np.ndarray:
+    positions = np.arange(seq_len)
+    mask = positions[None, :] > positions[:, None]
+    # Cached arrays are shared across every layer of every forward with
+    # the same length; freezing them keeps sharing safe.
     mask.setflags(write=False)
     return mask
 
 
-def causal_mask(seq_len: int, offset: int = 0) -> np.ndarray:
-    """Boolean mask that is True at disallowed (future) positions.
+def causal_mask(seq_len: int) -> np.ndarray:
+    """Boolean (seq_len, seq_len) mask, True at future (disallowed) keys.
 
-    Shape (seq_len, offset + seq_len): query position i (absolute position
-    ``offset + i``) may attend keys at absolute positions <= offset + i.
-
-    Results are LRU-cached by ``(seq_len, offset)`` — a decode loop asks
-    for the same handful of masks once per layer per step — and returned
-    read-only.  Callers needing a private writable copy must ``.copy()``.
+    Results are LRU-cached by length — every layer of a forward asks for
+    the same mask — and returned read-only.  Callers needing a private
+    writable copy must ``.copy()``.
     """
-    return _causal_mask_cached(int(seq_len), int(offset))
+    return _causal_mask_cached(int(seq_len))
 
 
 def _split_heads(x: Tensor, batch: int, seq_len: int, n_heads: int, head_dim: int) -> Tensor:
@@ -100,19 +95,15 @@ def attention(
 ) -> Tensor:
     """One attention sublayer (normed input in, attention output out).
 
-    Dispatches on the cache type: a :class:`RaggedLayerCaches` bundle takes
-    the ragged batched path, anything else the dense path.
+    ``cache`` is None for stateless attention over ``x``, or the layer's
+    :class:`~repro.nn.kv_cache.RaggedLayerCaches` for the ragged cached
+    path, whose batch :func:`run_model` has validated.
     """
-    # Imported here, not at module level: repro.nn's own attention module
-    # builds on these kernels, so the runtime must not import repro.nn
-    # during its own import.
-    from repro.nn.kv_cache import RaggedLayerCaches
-
     if x.ndim != 3:
         raise ShapeError(f"attention expects (B, T, D), got {x.shape}")
-    if isinstance(cache, RaggedLayerCaches):
+    if cache is not None:
         return _attention_ragged(ctx, layer, x, cache)
-    return _attention_dense(ctx, layer, x, pad_mask, cache)
+    return _attention_dense(ctx, layer, x, pad_mask)
 
 
 def _attention_dense(
@@ -120,16 +111,9 @@ def _attention_dense(
     layer: int,
     x: Tensor,
     pad_mask: Optional[np.ndarray],
-    cache,
 ) -> Tensor:
-    """Self-attention with an optional single shared-history KV cache.
-
-    With a cache, ``x`` contains only the *new* positions: the cache is
-    extended in place and gradients do not flow into cached history
-    (inference-only path).
-    """
+    """Stateless self-attention over the input window."""
     batch, seq_len, _ = x.shape
-    offset = 0 if cache is None else cache.seq_len
     q = _split_heads(
         _project(ctx, layer, "w_q", x), batch, seq_len, ctx.n_q_heads, ctx.head_dim
     )
@@ -139,23 +123,17 @@ def _attention_dense(
     v = _split_heads(
         _project(ctx, layer, "w_v", x), batch, seq_len, ctx.n_kv_heads, ctx.head_dim
     )
-    q = ctx.rope(q, offset)
-    k = ctx.rope(k, offset)
-    if cache is not None:
-        full_k, full_v = cache.append(k.data, v.data)
-        k, v = Tensor(full_k), Tensor(full_v)
+    q = ctx.rope(q, 0)
+    k = ctx.rope(k, 0)
     k = ctx.expand_kv(k)
     v = ctx.expand_kv(v)
     scale = 1.0 / float(np.sqrt(ctx.head_dim))
     scores = (q @ k.transpose(0, 1, 3, 2)) * scale
-    # A single cached decode step attends everything before it — no mask.
-    if ctx.causal and (seq_len > 1 or cache is None):
-        scores = scores.masked_fill(
-            causal_mask(seq_len, offset=offset)[None, None, :, :], NEG_INF
-        )
+    if ctx.causal:
+        scores = scores.masked_fill(causal_mask(seq_len)[None, None, :, :], NEG_INF)
     if pad_mask is not None:
         pad_mask = np.asarray(pad_mask, dtype=bool)
-        expected = (batch, offset + seq_len if cache is not None else seq_len)
+        expected = (batch, seq_len)
         if pad_mask.shape != expected:
             raise ShapeError(f"pad_mask shape {pad_mask.shape} != {expected}")
         scores = scores.masked_fill(pad_mask[:, None, None, :], NEG_INF)
@@ -179,16 +157,8 @@ def _attention_ragged(
     softmax with a combined causal + ragged-length mask.  Outputs at padded
     slots are garbage by construction.
     """
-    if not ctx.causal:
-        raise ShapeError("ragged cached attention requires a causal decoder")
     batch, max_new, _ = x.shape
-    if len(ragged) != batch:
-        raise ShapeError(
-            f"ragged batch mismatch: {batch} rows, {len(ragged)} caches"
-        )
     lengths = ragged.new_lengths
-    if np.any(lengths < 1) or np.any(lengths > max_new):
-        raise ShapeError(f"row lengths {lengths} out of range [1, {max_new}]")
     offsets = ragged.offsets
     q = _split_heads(
         _project(ctx, layer, "w_q", x), batch, max_new, ctx.n_q_heads, ctx.head_dim
@@ -262,30 +232,32 @@ def run_model(
 ) -> Tensor:
     """(B, T) token ids through every layer to (B, T, vocab) logits.
 
-    ``caches`` is None for a full stateless forward, or any object with a
-    per-layer ``.layers`` sequence — a
-    :class:`~repro.nn.kv_cache.ModelKVCache` for single-sequence
-    incremental decoding, a
-    :class:`~repro.nn.kv_cache.RaggedModelCaches` for the
-    continuous-batching ragged path.
+    ``caches`` is None for a full stateless forward, or a
+    :class:`~repro.nn.kv_cache.RaggedModelCaches` for the ragged cached
+    path (ShapeError for anything else).
 
     Pipeline stages reuse this entry: a context whose ``has_embedding`` is
     False takes the previous stage's replicated (B, T, D) ``hidden`` block
     instead of embedding tokens, and one whose ``has_head`` is False
     returns the hidden state after its layer run instead of logits.
     """
-    # Imported here, not at module level, so the fast path stays an
-    # implementation detail of this dispatch (and to keep import order
-    # within the package trivial).
+    # Imported here, not at module level: repro.nn's own attention module
+    # builds on these kernels, so the runtime must not import repro.nn
+    # during its own import; the fast path stays an implementation detail
+    # of this dispatch.
     from repro.nn.kv_cache import RaggedModelCaches
     from repro.runtime import fastpath
 
     tokens = np.asarray(tokens)
     if tokens.ndim != 2:
         raise ShapeError(f"expected (B, T) token ids, got shape {tokens.shape}")
-    if isinstance(caches, RaggedModelCaches):
-        _check_ragged_positions(ctx, caches)
-        _check_distinct_sequences(caches)
+    if caches is not None:
+        if not isinstance(caches, RaggedModelCaches):
+            raise ShapeError(
+                f"run_model takes no cache or a RaggedModelCaches, "
+                f"got {type(caches).__name__}"
+            )
+        _check_ragged(ctx, caches, tokens.shape)
     has_embedding = getattr(ctx, "has_embedding", True)
     has_head = getattr(ctx, "has_head", True)
     if not has_embedding and hidden is None:
@@ -309,35 +281,40 @@ def run_model(
     return _decode_rows(ctx.logits, x)
 
 
-def _check_ragged_positions(ctx: ExecutionContext, caches) -> None:
-    """Reject ragged rows whose new tokens run past the RoPE table.
+def _check_ragged(ctx: ExecutionContext, caches, shape) -> None:
+    """Validate a ragged batch once per forward, before any cache is written.
 
-    The per-row RoPE clamps positions past the table, because a row's
-    padded tail slots may lie there and are masked anyway.  Real tokens
-    must never reach the clamp, so every ragged forward — Tensor driver,
-    fast path, every rank of a sharded model — checks here, before any
-    cache is written.
+    Every ragged forward — Tensor driver, fast path, every rank of a
+    sharded model — checks here, so neither attention kernel re-checks
+    per layer:
+
+    - one cache per row, and each row's length in ``[1, T]``;
+    - no new token past the RoPE table: the per-row RoPE clamps positions
+      past the table, because a row's padded tail slots may lie there and
+      are masked anyway, so real tokens must never reach the clamp;
+    - no sequence cache listed twice: both rows would write the same
+      positions of one cache (the second row's offset is stale once the
+      first has written).
     """
-    limit = ctx.max_positions
-    if limit is None:
-        return
-    rows = caches.layers[0]
-    ends = rows.offsets + rows.new_lengths
-    if int(ends.max()) > limit:
+    if not ctx.causal:
+        raise ShapeError("ragged cached attention requires a causal decoder")
+    batch, max_new = shape
+    lengths = caches.new_lengths
+    if lengths.shape[0] != batch:
         raise ShapeError(
-            f"ragged row positions up to {int(ends.max())} exceed RoPE table {limit}"
+            f"ragged batch mismatch: {batch} rows, {lengths.shape[0]} caches"
         )
-
-
-def _check_distinct_sequences(caches) -> None:
-    """Reject a ragged batch that lists one sequence cache twice.
-
-    Both rows would write the same positions of one cache (the second
-    row's offset is stale once the first has written), so the batch is
-    refused before any cache is written.
-    """
-    rows = caches.layers[0].caches
-    if len(set(rows)) != len(rows):
+    if lengths.min() < 1 or lengths.max() > max_new:
+        raise ShapeError(f"row lengths {lengths} out of range [1, {max_new}]")
+    limit = ctx.max_positions
+    if limit is not None:
+        end = int((caches.layers[0].offsets + lengths).max())
+        if end > limit:
+            raise ShapeError(
+                f"ragged row positions up to {end} exceed RoPE table {limit}"
+            )
+    rows = caches.sequences
+    if len(set(map(id, rows))) != len(rows):
         raise ShapeError("a ragged batch lists the same sequence cache twice")
 
 
@@ -393,10 +370,6 @@ class ModelRuntime:
         """Full stateless forward pass."""
         return run_model(self.context, tokens, pad_mask=pad_mask)
 
-    def forward_cached(self, tokens: np.ndarray, caches) -> Tensor:
-        """Forward over new ``tokens`` only, extending ``caches`` in place."""
-        return run_model(self.context, tokens, caches=caches)
-
     def forward_ragged(self, tokens: np.ndarray, caches, new_lengths) -> Tensor:
         """Cached forward over a ragged batch of independent sequences.
 
@@ -405,12 +378,5 @@ class ModelRuntime:
         """
         from repro.nn.kv_cache import RaggedModelCaches
 
-        tokens = np.asarray(tokens)
-        if tokens.ndim != 2:
-            raise ShapeError(f"expected (B, T) token ids, got shape {tokens.shape}")
-        if tokens.shape[0] != len(caches):
-            raise ShapeError(
-                f"need one cache per row: {tokens.shape[0]} rows, {len(caches)} caches"
-            )
-        ragged = RaggedModelCaches(list(caches), new_lengths)
+        ragged = RaggedModelCaches(caches, new_lengths)
         return run_model(self.context, tokens, caches=ragged)

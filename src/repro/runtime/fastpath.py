@@ -66,8 +66,9 @@ non-BLAS loop.  Both drivers share one GEMM shape rule
 (:func:`decode_rows`): a forward with one token per row and more than one
 row runs each weight product as a single GEMM over all rows, any other
 forward as per-row products.  Logits from this path are byte-identical to
-the Tensor driver across all three cache regimes and all world sizes; the
-identity sweep in ``tests/runtime/test_fastpath.py`` enforces it.
+the Tensor driver in both cache regimes (stateless and ragged) and at all
+world sizes; the identity sweep in ``tests/runtime/test_fastpath.py``
+enforces it.
 
 The returned logits array is always freshly allocated (callers hold it
 across steps); everything else lives in the arena.
@@ -544,17 +545,13 @@ def _embed(state: FastState, ids: np.ndarray, region: _Region) -> np.ndarray:
     return out
 
 
-def _rope_table(rope, offset: int, seq_len: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Views of the cos/sin rows for one shared offset (dense path)."""
-    offset = int(offset)
-    if offset < 0 or offset + seq_len > rope.max_seq_len:
+def _rope_table(rope, seq_len: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Views of the cos/sin rows of positions ``[0, seq_len)`` (dense path)."""
+    if seq_len > rope.max_seq_len:
         raise ShapeError(
-            f"positions [{offset}, {offset + seq_len}) exceed RoPE table "
-            f"{rope.max_seq_len}"
+            f"positions [0, {seq_len}) exceed RoPE table {rope.max_seq_len}"
         )
-    cos = rope._cos[offset : offset + seq_len][None, None, :, :]
-    sin = rope._sin[offset : offset + seq_len][None, None, :, :]
-    return cos, sin
+    return rope._cos[None, None, :seq_len], rope._sin[None, None, :seq_len]
 
 
 def _rope_apply(state: FastState, x: np.ndarray, cos: np.ndarray,
@@ -631,12 +628,11 @@ def _finish_attention(state: FastState, layer: int, scores: np.ndarray,
 
 
 def _attention_dense(state: FastState, layer: int, x: np.ndarray,
-                     pad_mask, cache, region: _Region) -> np.ndarray:
+                     pad_mask, region: _Region) -> np.ndarray:
     from repro.runtime.driver import causal_mask
 
     ws = state.ws
     batch, seq_len, _ = x.shape
-    offset = 0 if cache is None else cache.seq_len
     head_dim = state.head_dim
     q = _project(state, layer, "w_q", x, "q", region)
     k = _project(state, layer, "w_k", x, "k", region)
@@ -646,36 +642,28 @@ def _attention_dense(state: FastState, layer: int, x: np.ndarray,
     vh = _split_heads(v, batch, seq_len, state.n_kv_heads, head_dim)
     region.start()
     if state.rope is not None:
-        cos, sin = _rope_table(state.rope, offset, seq_len)
+        cos, sin = _rope_table(state.rope, seq_len)
         qh = _rope_apply(state, qh, cos, sin, "q.rot")
         kh = _rope_apply(state, kh, cos, sin, "k.rot")
     region.stop(f"layer{layer}.attn.rope")
-    if cache is not None:
-        region.start()
-        keys, values = cache.append(kh, vh)
-        region.stop(f"layer{layer}.attn.cache")
-    else:
-        keys, values = kh, vh
-    total = offset + seq_len
-    scores = ws.buf("scores", (batch, state.n_q_heads, seq_len, total))
+    scores = ws.buf("scores", (batch, state.n_q_heads, seq_len, seq_len))
     region.start()
-    _per_kv_head(qh, keys.transpose(0, 1, 3, 2), state.kv_runs, scores)
+    _per_kv_head(qh, kh.transpose(0, 1, 3, 2), state.kv_runs, scores)
     np.multiply(scores, state.scale, out=scores)
     region.stop(f"layer{layer}.attn.qk")
     region.start()
-    # A single cached decode step attends everything before it — no mask.
-    if state.causal and (seq_len > 1 or cache is None):
-        mask = causal_mask(seq_len, offset=offset)
+    if state.causal:
+        mask = causal_mask(seq_len)
         np.copyto(scores, _NEG_INF32, where=mask[None, None, :, :])
     if pad_mask is not None:
         pad = np.asarray(pad_mask, dtype=bool)
-        expected = (batch, offset + seq_len if cache is not None else seq_len)
+        expected = (batch, seq_len)
         if pad.shape != expected:
             raise ShapeError(f"pad_mask shape {pad.shape} != {expected}")
         np.copyto(scores, _NEG_INF32, where=pad[:, None, None, :])
     _softmax_inplace(state, scores)
     region.stop(f"layer{layer}.attn.softmax")
-    return _finish_attention(state, layer, scores, values, batch, seq_len, region)
+    return _finish_attention(state, layer, scores, vh, batch, seq_len, region)
 
 
 class _RaggedPlan:
@@ -694,17 +682,9 @@ class _RaggedPlan:
 
 
 def _plan_ragged(state: FastState, caches, batch: int, max_new: int) -> _RaggedPlan:
-    if not state.causal:
-        raise ShapeError("ragged cached attention requires a causal decoder")
-    first = caches.layers[0]
-    if len(first) != batch:
-        raise ShapeError(
-            f"ragged batch mismatch: {batch} rows, {len(first)} caches"
-        )
-    lengths = first.new_lengths
-    if np.any(lengths < 1) or np.any(lengths > max_new):
-        raise ShapeError(f"row lengths {lengths} out of range [1, {max_new}]")
-    offsets = first.offsets
+    # run_model has validated the batch (rows, lengths, RoPE range).
+    lengths = caches.new_lengths
+    offsets = caches.layers[0].offsets
     totals = offsets + lengths
     plan = _RaggedPlan()
     plan.batch, plan.max_new = batch, max_new
@@ -715,10 +695,6 @@ def _plan_ragged(state: FastState, caches, batch: int, max_new: int) -> _RaggedP
     plan.cos = plan.sin = None
     rope = state.rope
     if rope is not None:
-        if np.any(offsets < 0) or np.any(offsets >= rope.max_seq_len):
-            raise ShapeError(
-                f"row offsets {offsets} exceed RoPE table {rope.max_seq_len}"
-            )
         positions = offsets[:, None] + np.arange(max_new, dtype=np.int64)[None, :]
         # Clamps padded tail slots only: run_model has already rejected
         # rows whose real tokens pass the table.
@@ -893,7 +869,7 @@ def _run_layer(state: FastState, layer: int, x: np.ndarray, pad_mask, cache,
     if plan is not None:
         attn_out = _attention_ragged(state, layer, normed, cache, plan, region)
     else:
-        attn_out = _attention_dense(state, layer, normed, pad_mask, cache, region)
+        attn_out = _attention_dense(state, layer, normed, pad_mask, region)
     ws = state.ws
     region.start()
     mid = ws.buf("stream.mid", x.shape)
@@ -956,15 +932,13 @@ def run_model_fast(state: FastState, tokens: np.ndarray, pad_mask=None,
     returns a fresh copy of the hidden output (the internal layer buffer
     is workspace-owned and reused on the next call, so it must not escape).
     """
-    from repro.nn.kv_cache import RaggedModelCaches
-
     region = _Region(state.ctx.__dict__.get("_fast_profiler"), state.ws)
     if hidden is not None:
         x = np.asarray(hidden, dtype=np.float32)
     else:
         x = _embed(state, tokens, region)
     plan = None
-    if isinstance(caches, RaggedModelCaches):
+    if caches is not None:
         region.start()
         plan = _plan_ragged(state, caches, x.shape[0], x.shape[1])
         region.stop("ragged.plan")

@@ -13,7 +13,8 @@ output.
 
 Hard contract (enforced by ``tests/runtime/test_speculative.py``): the
 generated tokens are **token-for-token identical** to dense greedy decoding
-for every drafter, every ``K``, every cache regime, and every world size.
+for every drafter, every ``K``, both cache flavours (growable and paged),
+and every world size.
 The invariants that make this hold:
 
 - verifier cache always covers exactly ``len(row) - 1`` positions at the
@@ -29,8 +30,10 @@ The invariants that make this hold:
   context-window overflow point — and the fallback to windowed
   recomputation — lands on exactly the same token as the dense loop.
 
-Both models run through the shared layer-program driver; the drafter's
-single-position forwards take the no-grad fast path automatically.
+Both models run through the shared layer-program driver, and every
+``forward_cached`` call — draft step or verify block — is a one-row ragged
+forward, the one cached attention path the serving engine also runs; the
+no-grad fast path takes it automatically.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from repro.runtime.decode import (
     DecodeSession,
     DecodeState,
     _as_prompt_row,
+    _check_budget,
     _TokenRow,
 )
 
@@ -144,7 +148,10 @@ class SpeculativeSession:
     ) -> np.ndarray:
         """Greedily extend ``prompt``; same signature and same tokens as
         ``DecodeSession.generate(..., use_cache=True)``."""
+        max_new_tokens = _check_budget(max_new_tokens)
         tokens = _as_prompt_row(prompt)
+        if max_new_tokens == 0:
+            return tokens[0].copy()
         window_limit = self.model.config.max_seq_len
         draft_limit = min(window_limit, self.drafter.config.max_seq_len)
         vcache = self.model.make_cache()

@@ -7,13 +7,10 @@ from repro.errors import ShapeError
 from repro.nn import (
     LayerKVCache,
     ModelKVCache,
-    MultiHeadAttention,
     RaggedLayerCaches,
     RaggedModelCaches,
-    RotaryEmbedding,
     causal_mask,
 )
-from repro.tensor import Tensor
 
 
 class TestCausalMaskOffset:
@@ -21,13 +18,6 @@ class TestCausalMaskOffset:
         mask = causal_mask(4)
         assert mask.shape == (4, 4)
         assert mask[0, 1] and not mask[3, 0]
-
-    def test_offset_widens_keys(self):
-        mask = causal_mask(2, offset=3)
-        assert mask.shape == (2, 5)
-        # Query at absolute position 3 sees keys 0..3.
-        assert not mask[0, 3] and mask[0, 4]
-        assert not mask[1, 4]
 
 
 class TestLayerKVCache:
@@ -126,53 +116,39 @@ class TestRaggedWrappers:
 
     def test_length_count_must_match_caches(self):
         with pytest.raises(ShapeError):
-            RaggedLayerCaches([LayerKVCache()], np.array([1, 2]))
+            RaggedModelCaches([ModelKVCache(1)], np.array([1, 2]))
 
 
 class TestIncrementalAttention:
-    @pytest.fixture()
-    def attn(self):
-        rope = RotaryEmbedding(4, 32)
-        return MultiHeadAttention(
-            8, 2, causal=True, rope=rope, rng=np.random.default_rng(0)
-        )
+    """Cached decoding — the model's one-row ragged forward — against a
+    full forward over the same window."""
 
-    def test_step_by_step_matches_full_forward(self, attn):
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=(1, 6, 8)).astype(np.float32)
-        full = attn(Tensor(x)).data
+    @staticmethod
+    def _tokens(model, length):
+        return (np.arange(length) * 7 + 2).reshape(1, length) % model.config.vocab_size
 
-        cache = LayerKVCache()
-        outputs = []
-        for t in range(6):
-            out = attn(Tensor(x[:, t : t + 1]), cache=cache)
-            outputs.append(out.data)
-        incremental = np.concatenate(outputs, axis=1)
-        assert np.allclose(incremental, full, atol=1e-5)
+    def test_step_by_step_matches_full_forward(self, micro_llama):
+        micro_llama.eval()
+        tokens = self._tokens(micro_llama, 6)
+        full = micro_llama(tokens).data
+        cache = micro_llama.make_cache()
+        outputs = [
+            micro_llama.forward_cached(tokens[:, t : t + 1], cache).data
+            for t in range(6)
+        ]
+        assert np.allclose(np.concatenate(outputs, axis=1), full, atol=1e-5)
 
-    def test_prefill_then_decode_matches(self, attn):
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=(1, 5, 8)).astype(np.float32)
-        full = attn(Tensor(x)).data
-
-        cache = LayerKVCache()
-        prefill = attn(Tensor(x[:, :3]), cache=cache).data
-        step = attn(Tensor(x[:, 3:4]), cache=cache).data
-        step2 = attn(Tensor(x[:, 4:5]), cache=cache).data
+    def test_prefill_then_decode_matches(self, micro_llama):
+        micro_llama.eval()
+        tokens = self._tokens(micro_llama, 5)
+        full = micro_llama(tokens).data
+        cache = micro_llama.make_cache()
+        prefill = micro_llama.forward_cached(tokens[:, :3], cache).data
+        step = micro_llama.forward_cached(tokens[:, 3:4], cache).data
+        step2 = micro_llama.forward_cached(tokens[:, 4:5], cache).data
         assert np.allclose(prefill, full[:, :3], atol=1e-5)
         assert np.allclose(step, full[:, 3:4], atol=1e-5)
         assert np.allclose(step2, full[:, 4:5], atol=1e-5)
-
-    def test_gqa_incremental(self):
-        rope = RotaryEmbedding(4, 32)
-        attn = MultiHeadAttention(
-            8, 2, causal=True, rope=rope, n_kv_heads=1, rng=np.random.default_rng(3)
-        )
-        x = np.random.default_rng(4).normal(size=(1, 4, 8)).astype(np.float32)
-        full = attn(Tensor(x)).data
-        cache = LayerKVCache()
-        outs = [attn(Tensor(x[:, t : t + 1]), cache=cache).data for t in range(4)]
-        assert np.allclose(np.concatenate(outs, axis=1), full, atol=1e-5)
 
 
 class TestCachedGeneration:

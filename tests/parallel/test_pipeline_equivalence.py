@@ -58,8 +58,8 @@ class TestGridEquality:
         from repro.nn.kv_cache import ModelKVCache
 
         model = variant_models[variant]
-        prompt = prompt_batch(2, 5, seed=19)
-        steps = [prompt_batch(2, 1, seed=s) for s in (23, 29)]
+        prompt = prompt_batch(1, 5, seed=19)
+        steps = [prompt_batch(1, 1, seed=s) for s in (23, 29)]
 
         cache = ModelKVCache(model.config.n_layers)
         model.forward_cached(prompt, cache)
@@ -129,10 +129,10 @@ def test_returned_logits_survive_the_next_forward(variant_models):
     sharded = ShardedLlama(model, 1, pp=1)
     try:
         cache = sharded.make_cache()
-        sharded.forward_cached(prompt_batch(2, 5, seed=19), cache)
-        first = sharded.forward_cached(prompt_batch(2, 1, seed=23), cache)
+        sharded.forward_cached(prompt_batch(1, 5, seed=19), cache)
+        first = sharded.forward_cached(prompt_batch(1, 1, seed=23), cache)
         snapshot = first.data.copy()
-        sharded.forward_cached(prompt_batch(2, 1, seed=29), cache)
+        sharded.forward_cached(prompt_batch(1, 1, seed=29), cache)
         np.testing.assert_array_equal(first.data, snapshot)
     finally:
         sharded.close()

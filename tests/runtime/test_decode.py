@@ -92,3 +92,19 @@ class TestDecodeSession:
             DecodeSession(micro_llama).generate(prompt, 5),
             micro_llama.greedy_generate(prompt, 5),
         )
+
+    @pytest.mark.parametrize("path", ["cached", "recompute", "speculative"])
+    def test_zero_budget_returns_prompt_and_negative_raises(self, micro_llama, path):
+        """Every path spends a budget of 0 as nothing and refuses a negative
+        one (cached and speculative used to emit a token for either)."""
+        micro_llama.eval()
+        kwargs = {
+            "cached": {},
+            "recompute": {"use_cache": False},
+            "speculative": {"speculative": micro_llama},
+        }[path]
+        prompt = np.array([1, 2, 3])
+        out = micro_llama.greedy_generate(prompt, 0, **kwargs)
+        np.testing.assert_array_equal(out, prompt)
+        with pytest.raises(ConfigError, match="max_new_tokens"):
+            micro_llama.greedy_generate(prompt, -1, **kwargs)

@@ -17,11 +17,13 @@ class TestCachedEqualsStateless:
         micro_llama.eval()
         tokens = (np.arange(14).reshape(2, 7) * 5 + 1) % micro_llama.config.vocab_size
         full = micro_llama(tokens)
-        cache = micro_llama.make_cache()
-        prefill = micro_llama.forward_cached(tokens[:, :5], cache)
-        np.testing.assert_array_equal(prefill.data, full.data[:, :5])
-        step = micro_llama.forward_cached(tokens[:, 5:], cache)
-        np.testing.assert_array_equal(step.data, full.data[:, 5:])
+        # forward_cached takes one row: each row extends its own cache.
+        for row in range(2):
+            cache = micro_llama.make_cache()
+            prefill = micro_llama.forward_cached(tokens[row : row + 1, :5], cache)
+            np.testing.assert_array_equal(prefill.data, full.data[row : row + 1, :5])
+            step = micro_llama.forward_cached(tokens[row : row + 1, 5:], cache)
+            np.testing.assert_array_equal(step.data, full.data[row : row + 1, 5:])
 
     def test_ragged_matches_per_sequence_cached(self, micro_llama):
         micro_llama.eval()

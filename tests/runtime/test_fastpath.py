@@ -532,15 +532,14 @@ class TestFastPathErrors:
 
 class TestCausalMaskCache:
     def test_same_key_returns_same_readonly_array(self):
-        first = causal_mask(5, offset=3)
-        second = causal_mask(5, offset=3)
+        first = causal_mask(5)
+        second = causal_mask(5)
         assert first is second
         assert not first.flags.writeable
 
     def test_mask_values_unchanged(self):
-        mask = causal_mask(3, offset=2)
-        total = 5
-        expected = np.arange(total)[None, :] > (2 + np.arange(3)[:, None])
+        mask = causal_mask(3)
+        expected = np.arange(3)[None, :] > np.arange(3)[:, None]
         np.testing.assert_array_equal(mask, expected)
 
 

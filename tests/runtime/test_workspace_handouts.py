@@ -34,7 +34,7 @@ def nan_handouts(monkeypatch):
 
 def cached_decode(runner, prompt: int = 6, steps: int = 4):
     """Logits of a ``prompt``-token prefill then ``steps`` decode steps."""
-    tokens = tokens_for(runner.config, 2, prompt + steps)
+    tokens = tokens_for(runner.config, 1, prompt + steps)
     cache = runner.make_cache()
     outputs = [runner.forward_cached(tokens[:, :prompt], cache).data]
     for i in range(prompt, prompt + steps):
